@@ -24,6 +24,7 @@ from .diffseq import (
 )
 from .errors import DiffvarError
 from .estimator import (
+    EstimatorConfig,
     PseudoresidualSeries,
     Sample,
     VarianceEstimate,
@@ -38,7 +39,6 @@ from .kernels import KernelSpec, kernel, kernel_eval, kernel_moments
 from .serialize import dump_json
 from .simlab import (
     ErrorLaw,
-    EstimatorConfig,
     Scenario,
     bias_variance_experiment,
     constant_scenario,
@@ -60,10 +60,12 @@ from .smoother import (
     EffectiveWeights,
     LocalFit,
     SmootherConfig,
+    WeightOperator,
     clt_diagnostics,
     effective_weights,
     fit_at,
     fit_on_grid,
+    weight_operator,
 )
 
 __version__ = "0.1.0"
@@ -83,6 +85,7 @@ __all__ = [
     "Scenario",
     "SmootherConfig",
     "VarianceEstimate",
+    "WeightOperator",
     "bias_variance_experiment",
     "clip_at_zero",
     "clt_diagnostics",
@@ -120,4 +123,5 @@ __all__ = [
     "standard_sequence",
     "validate",
     "variance_factor",
+    "weight_operator",
 ]

@@ -148,7 +148,11 @@ def cv_select(
     z = series.values**2
     xs = series.center_xs
     m = z.size
-    fold_sets = _fold_indices(m, folds, seq.order, block_length)
+    # training data depend on the fold only, so copy them once per fold
+    splits = []
+    for held_out in _fold_indices(m, folds, seq.order, block_length):
+        train = np.setdiff1d(np.arange(m), held_out, assume_unique=True)
+        splits.append((held_out, xs[train], z[train]))
 
     scored: list[tuple[float, float]] = []
     disqualified: list[tuple[float, str]] = []
@@ -156,10 +160,9 @@ def cv_select(
         config = replace(config_base, bandwidth=float(h))
         total = 0.0
         try:
-            for held_out in fold_sets:
-                train = np.setdiff1d(np.arange(m), held_out, assume_unique=True)
+            for held_out, xs_train, z_train in splits:
                 for i in held_out:
-                    fit = fit_at(xs[train], z[train], config, xs[i])
+                    fit = fit_at(xs_train, z_train, config, xs[i])
                     total += (z[i] - fit.value) ** 2
         except SmootherError as exc:
             disqualified.append((float(h), f"{type(exc).__name__}: {exc}"))

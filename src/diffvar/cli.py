@@ -241,7 +241,13 @@ def _build_scenario(args) -> simlab.Scenario:
         raise _UsageError(str(exc)) from exc
 
 
+def _check_integration_grid(args, integrated: bool) -> None:
+    if integrated and args.grid_size < 2:
+        raise _UsageError("--grid-size must be >= 2 for the integrated risk")
+
+
 def _cmd_simulate(args) -> int:
+    _check_integration_grid(args, not args.no_global)
     scenario = _build_scenario(args)
     seq = _resolve_sequence(args)
     h = _fixed_bandwidth(args, args.n)
@@ -265,6 +271,7 @@ def _cmd_rates(args) -> int:
     ns = sorted(set(args.n))
     if len(ns) < 4:
         raise _UsageError("need at least 4 distinct --n values")
+    _check_integration_grid(args, args.pointwise is None)
     seq = _resolve_sequence(args)
     degree = args.degree if args.degree is not None else int(np.floor(args.gamma)) + 1
     schedule = simlab.rate_schedule(

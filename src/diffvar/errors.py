@@ -65,6 +65,10 @@ class TooFewObservationsError(DiffvarError, ValueError):
     """Sample too small for the requested operation."""
 
 
+class NonFiniteDataError(DiffvarError, ValueError):
+    """Observations contain NaN or infinite values."""
+
+
 # --- bandwidth selection ---
 
 class BadParameterError(DiffvarError, ValueError):

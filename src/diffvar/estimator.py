@@ -4,17 +4,22 @@ The central estimator forms order-r pseudoresiduals, squares them, and
 smooths the squares by local polynomial regression; the classical
 global estimators (first differences, the symmetric three-point
 pattern, and arbitrary-sequence averages) are provided as baselines.
+:class:`EstimatorConfig` bundles a sequence with smoother settings for
+the simulation lab and can bind its weights to one fixed design.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .diffseq import DifferenceSequence
-from .errors import TooFewObservationsError
-from .smoother import SmootherConfig, fit_on_grid
+from .errors import NonFiniteDataError, TooFewObservationsError
+# fit_on_grid is no longer called here; the name stays bound because
+# perfbench/tracing.py patches it on this module
+from .smoother import SmootherConfig, WeightOperator, fit_on_grid, weight_operator  # noqa: F401
 
 __all__ = [
     "Sample",
@@ -22,7 +27,9 @@ __all__ = [
     "EstimateProvenance",
     "VarianceEstimate",
     "pseudoresiduals",
+    "variance_operator",
     "estimate_variance",
+    "EstimatorConfig",
     "clip_at_zero",
     "rice_estimate",
     "gsjs_estimate",
@@ -46,6 +53,8 @@ class Sample:
             raise ValueError("xs and ys must be 1-d arrays of equal length")
         if xs.size < 2:
             raise TooFewObservationsError(f"need n >= 2, got {xs.size}")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+            raise NonFiniteDataError("observations must be finite (no nan or inf)")
         if np.any(np.diff(xs) <= 0):
             raise ValueError("design points must be strictly increasing")
         if xs[0] <= 0.0 or xs[-1] >= 1.0:
@@ -72,23 +81,31 @@ class PseudoresidualSeries:
     center_xs: np.ndarray
 
 
+def _centers(xs: np.ndarray, order: int) -> np.ndarray:
+    """Design points the n - r order-r contrasts are attached to."""
+    n = xs.size
+    if n < order + 1:
+        raise TooFewObservationsError(
+            f"need n >= {order + 1} for order {order}, got {n}"
+        )
+    half = order // 2
+    return xs[half : half + n - order]
+
+
 def pseudoresiduals(sample: Sample, seq: DifferenceSequence) -> PseudoresidualSeries:
     """All n - r contrasts sum_j d_j y_{k+j}, centered per the offset convention."""
     r = seq.order
-    n = sample.n
-    if n < r + 1:
-        raise TooFewObservationsError(f"need n >= {r + 1} for order {r}, got {n}")
-    m = n - r
+    centers = _centers(sample.xs, r)
+    m = centers.size
     d = seq.coeffs
     values = np.zeros(m)
     for j in range(r + 1):
         values += d[j] * sample.ys[j : j + m]
-    half = r // 2
     return PseudoresidualSeries(
         order=r,
-        first_index=half + 1,
+        first_index=r // 2 + 1,
         values=values,
-        center_xs=sample.xs[half : half + m],
+        center_xs=centers,
     )
 
 
@@ -117,6 +134,24 @@ class VarianceEstimate:
     provenance: EstimateProvenance
 
 
+def variance_operator(
+    xs,
+    seq: DifferenceSequence,
+    config: SmootherConfig,
+    grid,
+    expand_to_minimum: bool = False,
+) -> WeightOperator:
+    """Weights taking the squared contrasts of any sample on design ``xs``
+    to its variance estimate on ``grid``.
+
+    Built once, the operator serves every sample on that design:
+    applied to ``pseudoresiduals(sample, seq).values**2`` it gives
+    ``estimate_variance(sample, seq, config, grid).values`` up to rounding.
+    """
+    centers = _centers(np.asarray(xs, dtype=float), seq.order)
+    return weight_operator(centers, config, grid, expand_to_minimum)
+
+
 def estimate_variance(
     sample: Sample,
     seq: DifferenceSequence,
@@ -127,29 +162,73 @@ def estimate_variance(
     """Smooth squared pseudoresiduals onto ``grid``.
 
     Each grid value is the intercept of the local polynomial fit of the
-    squared contrasts, equivalently the effective-weight inner product
+    squared contrasts, computed as the effective-weight inner product
     with them.
     """
     series = pseudoresiduals(sample, seq)
-    fits = fit_on_grid(
-        series.center_xs,
-        series.values**2,
-        config,
-        grid,
-        expand_to_minimum=expand_to_minimum,
+    operator = weight_operator(
+        series.center_xs, config, grid, expand_to_minimum=expand_to_minimum
     )
-    values = np.array([f.value for f in fits])
-    expanded = tuple(float(f.weights.eval_point) for f in fits if f.expanded)
+    values = operator.apply(series.values**2)
     return VarianceEstimate(
-        grid=np.asarray(grid, dtype=float),
+        grid=operator.grid,
         values=values,
         provenance=EstimateProvenance(
             sequence=seq,
             config=config,
-            expanded_points=expanded,
+            expanded_points=operator.expanded_points,
             has_negative_values=bool(np.any(values < 0.0)),
         ),
     )
+
+
+@dataclass(frozen=True, eq=False)
+class EstimatorConfig:
+    """Difference-sequence estimator bundled with its smoother settings.
+
+    Instances are callable as estimator(sample, grid) -> values, the
+    protocol every simulation experiment accepts, so tests can substitute
+    plain functions.  :meth:`bind` specializes an instance to one fixed
+    design and grid.
+    """
+
+    sequence: DifferenceSequence
+    smoother: SmootherConfig
+    expand_to_minimum: bool = False
+
+    def __call__(self, sample: Sample, grid) -> np.ndarray:
+        return estimate_variance(
+            sample, self.sequence, self.smoother, grid,
+            expand_to_minimum=self.expand_to_minimum,
+        ).values
+
+    def bind(self, design_xs, grid) -> Callable[[Sample, np.ndarray], np.ndarray]:
+        """This estimator with its weights built once for one design and grid.
+
+        Every sample on ``design_xs`` reuses one :func:`variance_operator`;
+        a sample on another design, or another grid, takes the full path.
+        Errors building the weights propagate.
+        """
+        xs, bound_grid = np.asarray(design_xs, float), np.asarray(grid, float)
+        operator = variance_operator(xs, self.sequence, self.smoother,
+                                     bound_grid, self.expand_to_minimum)
+
+        def bound(sample: Sample, grid) -> np.ndarray:
+            if np.array_equal(sample.xs, xs) and np.array_equal(grid, bound_grid):
+                return operator.apply(pseudoresiduals(sample, self.sequence).values ** 2)
+            return self(sample, grid)
+
+        return bound
+
+    def to_dict(self) -> dict:
+        return {
+            "order": self.sequence.order,
+            "coefficients": self.sequence.to_list(),
+            "kernel": self.smoother.kernel.kind,
+            "degree": self.smoother.degree,
+            "bandwidth": self.smoother.bandwidth,
+            "expand_to_minimum": self.expand_to_minimum,
+        }
 
 
 def clip_at_zero(estimate: VarianceEstimate) -> VarianceEstimate:

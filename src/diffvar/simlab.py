@@ -8,16 +8,20 @@ inspects the bias/variance structure in the bandwidth, runs normality
 diagnostics of the estimator's replication distribution, and compares
 rough-mean against flat-mean risk.
 
+The design is fixed within an experiment, so an :class:`EstimatorConfig`
+(defined in :mod:`diffvar.estimator`) builds its local-fit weights once
+per (design, smoother, grid) and each replication only draws a sample
+and applies them to its contrasts.
+
 Reproducibility contract: every experiment takes one master seed;
 replication streams are spawned from it, so results are bit-identical
-for a given (seed, replications) regardless of thread count or
-execution order.
+for a given (seed, replications).  Replications run serially; ``threads``
+is validated and kept for compatibility only.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -27,9 +31,14 @@ from scipy import stats
 from .bandwidth import rate_optimal_bandwidth
 from .diffseq import DifferenceSequence
 from .errors import BadParameterError, BadScenarioError, DiffvarError
-from .estimator import Sample, estimate_variance, pseudoresiduals
+from .estimator import EstimatorConfig, Sample, pseudoresiduals, variance_operator
 from .kernels import KernelSpec, kernel
-from .smoother import SmootherConfig, effective_weights
+from .smoother import SmootherConfig
+
+# not called here any more; perfbench/tracing.py patches these names on
+# this module, so they stay bound
+from .estimator import estimate_variance  # noqa: F401
+from .smoother import effective_weights  # noqa: F401
 
 __all__ = [
     "FunctionSpec",
@@ -302,34 +311,19 @@ def generate_sample(scenario: Scenario, seed, check_delta: bool = True) -> Sampl
 
 # --- estimators as callables ---------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class EstimatorConfig:
-    """Difference-sequence estimator bundled with its smoother settings.
+def _bind(estimator, design_xs, grid):
+    """``estimator.bind(design_xs, grid)`` where the estimator has it.
 
-    Instances are callable as estimator(sample, grid) -> values, the
-    protocol every experiment accepts, so tests can substitute plain
-    functions.
+    Plain functions, and estimators whose weights fail to build, come
+    back unbound: a build failure depends on the design alone, so the
+    full path then fails every replication with that same error.
     """
-
-    sequence: DifferenceSequence
-    smoother: SmootherConfig
-    expand_to_minimum: bool = False
-
-    def __call__(self, sample: Sample, grid) -> np.ndarray:
-        return estimate_variance(
-            sample, self.sequence, self.smoother, grid,
-            expand_to_minimum=self.expand_to_minimum,
-        ).values
-
-    def to_dict(self) -> dict:
-        return {
-            "order": self.sequence.order,
-            "coefficients": self.sequence.to_list(),
-            "kernel": self.smoother.kernel.kind,
-            "degree": self.smoother.degree,
-            "bandwidth": self.smoother.bandwidth,
-            "expand_to_minimum": self.expand_to_minimum,
-        }
+    if not hasattr(estimator, "bind"):
+        return estimator
+    try:
+        return estimator.bind(design_xs, grid)
+    except DiffvarError:
+        return estimator
 
 
 def _describe(estimator) -> dict | str:
@@ -347,31 +341,24 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
 
 
 def _replicate(replications: int, seed, rep_fn, threads: int = 1):
-    """Run rep_fn once per replication on independent spawned streams.
+    """Run rep_fn once per replication, serially, on spawned streams.
 
     Returns (results, failures): results is a list in replication order
     with None at failed indices; failures is a list of (index, message).
     Estimator failures (DiffvarError) are recorded, anything else
-    propagates.  Output is independent of thread count because streams
-    are per-replication and results are assembled by index.
+    propagates.  Callers bind their estimator first (:func:`_bind`), so
+    a replication factorizes nothing.  ``threads`` is validated only: a
+    thread pool was slower than this loop on GIL-bound numpy calls.
     """
     if threads < 1:
         raise BadParameterError(f"threads must be >= 1, got {threads}")
-    child_seeds = _seed_sequence(seed).spawn(replications)
-
-    def run_one(i):
+    results, failures = [], []
+    for i, child in enumerate(_seed_sequence(seed).spawn(replications)):
         try:
-            return rep_fn(child_seeds[i]), None
+            results.append(rep_fn(child))
         except DiffvarError as exc:
-            return None, f"{type(exc).__name__}: {exc}"
-
-    if threads == 1:
-        outcomes = [run_one(i) for i in range(replications)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_one, range(replications)))
-    results = [value for value, _ in outcomes]
-    failures = [(i, msg) for i, (_, msg) in enumerate(outcomes) if msg is not None]
+            results.append(None)
+            failures.append((i, f"{type(exc).__name__}: {exc}"))
     return results, failures
 
 
@@ -400,6 +387,13 @@ def _summarize(values: list, failures) -> RiskValue:
     )
 
 
+def _integration_grid(grid) -> np.ndarray:
+    grid = np.asarray(grid, dtype=float)
+    if grid.size < 2:
+        raise BadParameterError(f"integrated risk needs >= 2 grid points, got {grid.size}")
+    return grid
+
+
 def pointwise_risk(
     scenario: Scenario, estimator, x0: float, replications: int, seed,
     threads: int = 1,
@@ -409,6 +403,7 @@ def pointwise_risk(
         raise BadParameterError("need at least 2 replications")
     v_true = float(np.asarray(scenario.var_fn(np.array([x0])))[0])
     grid = np.array([float(x0)])
+    estimator = _bind(estimator, scenario.design_points(), grid)
 
     def rep(child):
         sample = generate_sample(scenario, child)
@@ -425,7 +420,8 @@ def global_risk(
     """Trapezoidal integrated squared error, averaged over replications.
 
     The default grid covers [margin, 1 - margin]; pass margin=0 (or an
-    explicit grid) for the full interval.
+    explicit grid) for the full interval.  The grid needs at least 2
+    points: the trapezoid rule over one point is identically zero.
     """
     if replications < 2:
         raise BadParameterError("need at least 2 replications")
@@ -433,8 +429,9 @@ def global_risk(
         if not 0.0 <= margin < 0.5:
             raise BadParameterError("margin must be in [0, 0.5)")
         grid = np.linspace(margin, 1.0 - margin, grid_size)
-    grid = np.asarray(grid, dtype=float)
+    grid = _integration_grid(grid)
     v_true = np.asarray(scenario.var_fn(grid), dtype=float)
+    estimator = _bind(estimator, scenario.design_points(), grid)
 
     def rep(child):
         sample = generate_sample(scenario, child)
@@ -712,6 +709,7 @@ def normality_experiment(
     if replications < 500:
         raise BadParameterError("need at least 500 replications")
     grid = np.array([float(x0)])
+    estimator = _bind(estimator, scenario.design_points(), grid)
 
     def rep(child):
         sample = generate_sample(scenario, child)
@@ -760,31 +758,25 @@ def bias_variance_experiment(
 ) -> BiasVarianceReport:
     """Monte Carlo bias^2 and variance of the estimate at x0 per bandwidth.
 
-    The design is fixed across replications, so the effective weights for
-    each bandwidth are factorized once and every replication reduces to
-    one squared-contrast inner product per bandwidth; this is exactly the
-    weight representation of the estimator, which the test suite pins to
-    the full fit path.
+    The design is fixed across replications, so each bandwidth's
+    :func:`~diffvar.estimator.variance_operator` is built once and every
+    replication reduces to one squared-contrast inner product per
+    bandwidth.  Errors building the weights propagate.
     """
     if replications < 2:
         raise BadParameterError("need at least 2 replications")
     bandwidths = np.asarray(bandwidths, dtype=float)
-    xs = scenario.design_points()
-    half = seq.order // 2
-    m = xs.size - seq.order
-    centers = xs[half : half + m]
-    weight_sets = [
-        effective_weights(
-            centers, SmootherConfig(float(h), degree, kernel_spec), float(x0)
-        )
+    grid = np.array([float(x0)])
+    operators = [
+        variance_operator(scenario.design_points(), seq,
+                          SmootherConfig(float(h), degree, kernel_spec), grid)
         for h in bandwidths
     ]
-    v_true = float(np.asarray(scenario.var_fn(np.array([x0])))[0])
+    v_true = float(np.asarray(scenario.var_fn(grid))[0])
 
     def rep(child):
-        sample = generate_sample(scenario, child)
-        z = pseudoresiduals(sample, seq).values ** 2
-        return np.array([w.weights @ z[w.indices] for w in weight_sets])
+        z = pseudoresiduals(generate_sample(scenario, child), seq).values ** 2
+        return np.array([op.apply(z)[0] for op in operators])
 
     values, failures = _replicate(replications, seed, rep)
     if failures:
@@ -870,10 +862,9 @@ def mean_effect_experiment(
     schedule = rate_schedule(seq, gamma, scale)
     ns = sorted(int(n) for n in ns)
     children = _seed_sequence(seed).spawn(len(ns))
-    grid = np.linspace(margin, 1.0 - margin, grid_size)
+    grid = _integration_grid(np.linspace(margin, 1.0 - margin, grid_size))
     rough_risks, flat_risks, ratios, ratio_ses = [], [], [], []
     for n, child in zip(ns, children):
-        est = schedule(n)
         rough = rough_mean_scenario(n, beta)
         flat = Scenario(
             label=f"flat-mean-n{n}",
@@ -882,6 +873,8 @@ def mean_effect_experiment(
             n=n,
             error_law=rough.error_law,
         )
+        # both arms share the equispaced design, so one binding serves both
+        est = _bind(schedule(n), rough.design_points(), grid)
         v_true = np.asarray(rough.var_fn(grid), dtype=float)
 
         def rep(rep_seed, rough=rough, flat=flat, est=est, v_true=v_true):

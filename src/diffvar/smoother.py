@@ -6,7 +6,10 @@ the smoothed value.  Because the fitted value is linear in the
 responses, each fit also yields the effective weight that every
 observation contributes to the intercept.  Those weights sum to one and
 annihilate (x - x_i)^q for q = 1..degree, which is what downstream risk
-and normality experiments rely on.
+and normality experiments rely on.  Since the weights depend on the
+design alone, :func:`weight_operator` collects them for a whole grid
+once, and applying it to any responses on that design is one weighted
+sum per grid point.
 
 The weighted design is solved through a QR factorization of the
 sqrt-weight-scaled, bandwidth-rescaled local design; normal equations
@@ -27,11 +30,13 @@ from .kernels import KernelSpec, kernel
 __all__ = [
     "SmootherConfig",
     "EffectiveWeights",
+    "WeightOperator",
     "LocalFit",
     "CltDiagnostics",
     "effective_weights",
     "fit_at",
     "fit_on_grid",
+    "weight_operator",
     "clt_diagnostics",
 ]
 
@@ -59,11 +64,34 @@ class EffectiveWeights:
 
     ``indices`` are the positions (into the original abscissae) the
     window touches; observations outside carry exactly zero weight.
+    ``expanded`` is set when ``expand_to_minimum`` grew a starved window.
     """
 
     eval_point: float
     indices: np.ndarray
     weights: np.ndarray
+    expanded: bool = False
+
+
+@dataclass(frozen=True, eq=False)
+class WeightOperator:
+    """Effective weights of the local fit at every point of a grid.
+
+    The weights depend on the design alone, so one operator maps any
+    response vector observed on that design to its smoothed values.
+    """
+
+    grid: np.ndarray
+    weights: tuple[EffectiveWeights, ...]
+
+    @property
+    def expanded_points(self) -> tuple[float, ...]:
+        return tuple(w.eval_point for w in self.weights if w.expanded)
+
+    def apply(self, zs) -> np.ndarray:
+        """Smoothed values of the responses ``zs`` at every grid point."""
+        zs = np.asarray(zs, dtype=float)
+        return np.array([w.weights @ zs[w.indices] for w in self.weights])
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,8 +178,10 @@ def _factorize(xs: np.ndarray, config: SmootherConfig, x: float, expand: bool):
     e0 = np.zeros(config.degree + 1)
     e0[0] = 1.0
     w_eff = sqrt_w * (q @ linalg.solve_triangular(r, e0, trans="T", lower=False))
-    weights = EffectiveWeights(eval_point=float(x), indices=active, weights=w_eff)
-    return weights, rcond, h, expanded, q, r, sqrt_w
+    weights = EffectiveWeights(
+        eval_point=float(x), indices=active, weights=w_eff, expanded=expanded
+    )
+    return weights, rcond, h, q, r, sqrt_w
 
 
 def effective_weights(
@@ -163,7 +193,7 @@ def effective_weights(
     fixed-design simulation reuse one factorization across replications.
     """
     xs = np.asarray(xs, dtype=float)
-    weights, _, _, _, _, _, _ = _factorize(xs, config, float(x), expand_to_minimum)
+    weights, _, _, _, _, _ = _factorize(xs, config, float(x), expand_to_minimum)
     return weights
 
 
@@ -192,7 +222,7 @@ def fit_at(
     zs = np.asarray(zs, dtype=float)
     if xs.shape != zs.shape:
         raise ValueError("xs and zs must have the same shape")
-    weights, rcond, h, expanded, q, r, sqrt_w = _factorize(
+    weights, rcond, h, q, r, sqrt_w = _factorize(
         xs, config, float(x), expand_to_minimum
     )
     rhs = q.T @ (sqrt_w * zs[weights.indices])
@@ -204,8 +234,19 @@ def fit_at(
         weights=weights,
         condition_estimate=rcond,
         bandwidth=h,
-        expanded=expanded,
+        expanded=weights.expanded,
     )
+
+
+def _checked_grid(grid) -> np.ndarray:
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("grid must be a nonempty 1-d sequence")
+    if np.any(np.diff(grid) < 0):
+        raise ValueError("grid must be sorted ascending")
+    if grid[0] < 0.0 or grid[-1] > 1.0:
+        raise ValueError("grid values must lie in [0, 1]")
+    return grid
 
 
 def fit_on_grid(
@@ -216,13 +257,7 @@ def fit_on_grid(
     Fit errors propagate with the offending grid point attached as the
     exception's ``grid_point`` attribute.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("grid must be a nonempty 1-d sequence")
-    if np.any(np.diff(grid) < 0):
-        raise ValueError("grid must be sorted ascending")
-    if grid[0] < 0.0 or grid[-1] > 1.0:
-        raise ValueError("grid values must lie in [0, 1]")
+    grid = _checked_grid(grid)
     xs = np.asarray(xs, dtype=float)
     zs = np.asarray(zs, dtype=float)
     fits = []
@@ -233,6 +268,28 @@ def fit_on_grid(
             exc.grid_point = float(x)
             raise
     return fits
+
+
+def weight_operator(
+    xs, config: SmootherConfig, grid, expand_to_minimum: bool = False
+) -> WeightOperator:
+    """Effective weights at every point of a sorted grid in [0, 1].
+
+    Each grid point is factorized once, with the same support, rcond and
+    expansion checks as :func:`fit_on_grid`; applying the operator to
+    responses on ``xs`` then equals the fitted values up to rounding.
+    Errors carry the offending grid point as in :func:`fit_on_grid`.
+    """
+    grid = _checked_grid(grid)
+    xs = np.asarray(xs, dtype=float)
+    weights = []
+    for x in grid:
+        try:
+            weights.append(effective_weights(xs, config, x, expand_to_minimum))
+        except SmootherError as exc:
+            exc.grid_point = float(x)
+            raise
+    return WeightOperator(grid=grid, weights=tuple(weights))
 
 
 def clt_diagnostics(weights: EffectiveWeights, n: int, h: float) -> CltDiagnostics:

@@ -103,6 +103,21 @@ class TestEstimate:
                      "--output", str(tmp_path / "o.csv"),
                      "--bandwidth", "0.2"]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_is_input_error(self, tmp_path, capsys, value):
+        inp = tmp_path / "bad.csv"
+        out = tmp_path / "o.csv"
+        rows = [f"{i / 40!r},{1.0 + (i % 3)!r}" for i in range(1, 40)]
+        rows[17] = f"{18 / 40!r},{value}"
+        inp.write_text("x,y\n" + "\n".join(rows) + "\n")
+        code = main(["estimate", "--input", str(inp), "--output", str(out),
+                     "--bandwidth", "0.2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "finite" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_bad_flags_are_usage_errors(self, tmp_path):
         inp = tmp_path / "data.csv"
         write_sample_csv(inp)
@@ -160,6 +175,16 @@ class TestSimulate:
                      "--seed", "5", "--bandwidth", "0.25",
                      "--no-global"]) == 1
 
+    def test_single_point_grid_is_usage_error(self, capsys):
+        assert main(["simulate", "--n", "300", "--replications", "10",
+                     "--seed", "5", "--bandwidth", "0.25",
+                     "--grid-size", "1"]) == 1
+        assert "--grid-size" in capsys.readouterr().err
+        # the pointwise risk alone needs no integration grid
+        assert main(["simulate", "--n", "300", "--replications", "10",
+                     "--seed", "5", "--bandwidth", "0.25", "--x0", "0.5",
+                     "--no-global", "--grid-size", "1"]) == 0
+
     def test_thread_count_does_not_change_bytes(self, tmp_path):
         outs = []
         for threads, name in (("1", "a.json"), ("3", "b.json")):
@@ -191,6 +216,11 @@ class TestRates:
         report = json.loads(out.read_text())
         assert report["theoretical_slope"] == pytest.approx(-0.8)
         assert report["slope_defined"]
+
+    def test_single_point_grid_is_usage_error(self):
+        assert main(["rates", "--gamma", "2", "--n", "128", "--n", "256",
+                     "--n", "512", "--n", "1024", "--replications", "5",
+                     "--seed", "1", "--grid-size", "1"]) == 1
 
     def test_too_few_sizes(self):
         assert main(["rates", "--gamma", "2", "--n", "128", "--n", "256",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from diffvar import diffseq
-from diffvar.errors import TooFewObservationsError
+from diffvar.errors import NonFiniteDataError, TooFewObservationsError
 from diffvar.estimator import (
     Sample,
     clip_at_zero,
@@ -48,6 +48,13 @@ class TestSample:
             Sample(np.array([0.5]), np.array([1.0]))
         with pytest.raises(ValueError):
             Sample(np.array([0.2, 0.4]), np.array([1.0]))
+
+    def test_rejects_non_finite_values(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonFiniteDataError):
+                Sample(np.array([0.2, 0.4, 0.6]), np.array([1.0, bad, 2.0]))
+            with pytest.raises(ValueError):
+                Sample(np.array([0.2, bad, 0.6]), np.array([1.0, 2.0, 3.0]))
 
     def test_n(self):
         assert make_sample([1.0, 2.0, 3.0]).n == 3

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from diffvar import diffseq, simlab
+from diffvar import diffseq, simlab, smoother
 from diffvar.errors import (
     BadParameterError,
     BadScenarioError,
     InsufficientSupportError,
 )
+from diffvar.estimator import estimate_variance, pseudoresiduals
 from diffvar.serialize import dump_json, plain
 from diffvar.simlab import (
     ErrorLaw,
@@ -31,7 +32,7 @@ from diffvar.simlab import (
     risk_report,
     smooth_scenario,
 )
-from diffvar.smoother import SmootherConfig
+from diffvar.smoother import SmootherConfig, fit_on_grid
 
 FD = diffseq.standard_sequence("first_difference")
 
@@ -204,6 +205,106 @@ class TestRisks:
         scen = smooth_scenario(100)
         with pytest.raises(BadParameterError):
             pointwise_risk(scen, exact_estimator(scen), 0.5, 1, 0)
+
+
+    def test_global_risk_needs_two_grid_points(self):
+        scen = smooth_scenario(100)
+        est = EstimatorConfig(FD, SmootherConfig(0.25, 1))
+        with pytest.raises(BadParameterError):
+            global_risk(scen, est, 5, 1, grid_size=1)
+        with pytest.raises(BadParameterError):
+            global_risk(scen, est, 5, 1, grid=[0.5])
+
+
+def gap_scenario():
+    """Sine mean and variance on a design with no points in (0.4, 0.6)."""
+    xs = np.linspace(0.01, 0.99, 99)
+    xs = xs[(xs < 0.4) | (xs > 0.6)]
+    return Scenario(
+        label="gap",
+        mean_fn=function_spec("sine", offset=2.0, amplitude=1.0),
+        var_fn=function_spec("sine", offset=0.5, amplitude=0.25),
+        n=xs.size,
+        design=xs,
+    )
+
+
+class TestBoundEstimator:
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_matches_fit_path_with_expansion(self, degree):
+        scen = gap_scenario()
+        grid = np.linspace(0.05, 0.95, 19)
+        smoother_config = SmootherConfig(0.08, degree)
+        est = EstimatorConfig(FD, smoother_config, expand_to_minimum=True)
+        bound = est.bind(scen.design_points(), grid)
+        for seed in range(3):
+            sample = generate_sample(scen, seed)
+            series = pseudoresiduals(sample, FD)
+            fits = fit_on_grid(series.center_xs, series.values**2,
+                               smoother_config, grid, expand_to_minimum=True)
+            expected = np.array([fit.value for fit in fits])
+            np.testing.assert_allclose(bound(sample, grid), expected,
+                                       rtol=1e-12, atol=0)
+        expanded = tuple(fit.weights.eval_point for fit in fits if fit.expanded)
+        assert 0.5 in np.round(expanded, 12)
+        estimate = estimate_variance(sample, FD, smoother_config, grid,
+                                     expand_to_minimum=True)
+        assert estimate.provenance.expanded_points == expanded
+
+    def test_other_design_or_grid_takes_the_full_path(self):
+        est = EstimatorConfig(FD, SmootherConfig(0.2, 1))
+        grid = np.linspace(0.1, 0.9, 9)
+        bound = est.bind(smooth_scenario(200).design_points(), grid)
+        other = generate_sample(smooth_scenario(150), 4)
+        assert np.array_equal(bound(other, grid), est(other, grid))
+        sample = generate_sample(smooth_scenario(200), 4)
+        assert np.array_equal(bound(sample, grid[:5]), est(sample, grid[:5]))
+
+    def test_build_failure_fails_every_replication_as_before(self, monkeypatch):
+        seen = []
+        summarize = simlab._summarize
+
+        def capture(values, failures):
+            seen.append(failures)
+            return summarize(values, failures)
+
+        monkeypatch.setattr(simlab, "_summarize", capture)
+        est = EstimatorConfig(FD, SmootherConfig(0.05, 1))
+        with pytest.raises(BadScenarioError, match="every replication failed"):
+            global_risk(gap_scenario(), est, 6, 11,
+                        grid=np.linspace(0.05, 0.95, 19))
+        # the message every replication recorded before weights were shared
+        message = ("InsufficientSupportError: 0 positively weighted points "
+                   "(0 distinct) at x=0.44999999999999996 with h=0.05; need 2")
+        assert seen == [[(i, message) for i in range(6)]]
+
+
+class TestFactorizationCounts:
+    """Fixed-design experiments factorize per grid point, not per replication."""
+
+    @pytest.fixture
+    def factorizations(self, monkeypatch):
+        calls = []
+        factorize = smoother._factorize
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return factorize(*args, **kwargs)
+
+        monkeypatch.setattr(smoother, "_factorize", counting)
+        return calls
+
+    def test_global_risk(self, factorizations):
+        est = EstimatorConfig(FD, SmootherConfig(0.2, 1))
+        rv = global_risk(smooth_scenario(300), est, 7, 3, grid_size=13)
+        assert rv.replications == 7 and rv.failures == 0
+        assert len(factorizations) == 13
+
+    def test_normality_experiment(self, factorizations):
+        est = EstimatorConfig(FD, SmootherConfig(0.2, 1))
+        report = normality_experiment(smooth_scenario(300), est, 0.5, 500, 4)
+        assert report.draws.size == 500
+        assert factorizations == [0.5]
 
 
 class TestRiskReport:

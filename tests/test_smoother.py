@@ -9,6 +9,7 @@ from diffvar.smoother import (
     effective_weights,
     fit_at,
     fit_on_grid,
+    weight_operator,
 )
 
 
@@ -220,6 +221,32 @@ def test_fit_on_grid_tags_offending_point():
     with pytest.raises(InsufficientSupportError) as info:
         fit_on_grid(xs, zs, config, [0.5, 0.95])
     assert info.value.grid_point == pytest.approx(0.95)
+
+
+def test_weight_operator_applies_the_grid_fits():
+    rng = np.random.default_rng(10)
+    xs = random_design(rng)
+    zs = rng.standard_normal(xs.size)
+    grid = np.linspace(0.0, 1.0, 11)
+    for degree in (0, 1, 3):
+        config = SmootherConfig(0.3, degree)
+        op = weight_operator(xs, config, grid)
+        fitted = [fit.value for fit in fit_on_grid(xs, zs, config, grid)]
+        np.testing.assert_allclose(op.apply(zs), fitted, rtol=1e-12, atol=0)
+        assert op.expanded_points == ()
+
+
+def test_weight_operator_records_expansion_and_tags_failures():
+    xs = np.concatenate([np.linspace(0.05, 0.3, 30), np.linspace(0.7, 0.95, 30)])
+    config = SmootherConfig(0.1, 1)
+    op = weight_operator(xs, config, [0.2, 0.5, 0.8], expand_to_minimum=True)
+    assert op.expanded_points == (0.5,)
+    assert [w.expanded for w in op.weights] == [False, True, False]
+    with pytest.raises(InsufficientSupportError) as info:
+        weight_operator(xs, config, [0.2, 0.5, 0.8])
+    assert info.value.grid_point == pytest.approx(0.5)
+    with pytest.raises(ValueError):
+        weight_operator(xs, config, [0.8, 0.2])
 
 
 def test_config_validation():
