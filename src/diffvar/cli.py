@@ -131,13 +131,28 @@ def _resolve_sequence(args) -> diffseq.DifferenceSequence:
         except DiffvarError as exc:
             raise _InputError(f"{args.sequence_file}: {exc}") from exc
     if args.sequence == "optimal":
+        _require(args.order >= 1, "--order must be >= 1")
         return diffseq.optimal_sequence(args.order)
     if args.sequence in ("first_difference", "gsjs"):
         return diffseq.standard_sequence(args.sequence)
     raise _UsageError(f"unknown sequence {args.sequence!r}")
 
 
-def _add_estimator_flags(parser, bandwidth_modes: str) -> None:
+def _require(ok: bool, message: str) -> None:
+    """Reject a flag value as a usage error before the library sees it."""
+    if not ok:
+        raise _UsageError(message)
+
+
+def _check_replicated(args, min_replications: int) -> None:
+    """Flags shared by the replicated experiments."""
+    _require(args.replications >= min_replications,
+             f"--replications must be >= {min_replications}")
+    _require(args.threads >= 1, "--threads must be >= 1")
+    _require(args.degree is None or args.degree >= 0, "--degree must be >= 0")
+
+
+def _add_sequence_flags(parser) -> None:
     parser.add_argument(
         "--sequence", default="first_difference",
         choices=["first_difference", "gsjs", "optimal"],
@@ -147,6 +162,10 @@ def _add_estimator_flags(parser, bandwidth_modes: str) -> None:
     parser.add_argument("--sequence-file", default=None,
                         help="JSON array of explicit coefficients")
     parser.add_argument("--kernel", default="epanechnikov", choices=KERNEL_KINDS)
+
+
+def _add_estimator_flags(parser, bandwidth_modes: str) -> None:
+    _add_sequence_flags(parser)
     parser.add_argument("--degree", type=int, default=1)
     parser.add_argument("--bandwidth", default=None, required=True,
                         help=f"bandwidth: a number or one of {{{bandwidth_modes}}}")
@@ -173,6 +192,10 @@ def _fixed_bandwidth(args, n: int) -> float:
 # --- subcommands -----------------------------------------------------------
 
 def _cmd_estimate(args) -> int:
+    _require(args.degree >= 0, "--degree must be >= 0")
+    _require(args.grid_size >= 1, "--grid-size must be >= 1")
+    _require(args.bandwidth != "cv" or args.folds >= 2,
+             "--folds must be >= 2 with --bandwidth cv")
     sample = _read_sample_csv(args.input)
     seq = _resolve_sequence(args)
     if not 0.0 <= args.grid_min < args.grid_max <= 1.0:
@@ -227,27 +250,28 @@ def _build_scenario(args) -> simlab.Scenario:
         v = np.asarray(var_fn(xs), dtype=float)
         if np.any(v <= 0.0):
             raise _UsageError("variance function must be positive on the design")
-        delta = float(v.min()) / 2.0
         return simlab.Scenario(
             label=f"cli-{mean_fn.name}-{var_fn.name}-n{args.n}",
             mean_fn=mean_fn,
             var_fn=var_fn,
             n=args.n,
             error_law=law,
-            var_class=simlab.HoelderClassSpec(2.0, 10.0, float(v.max()), delta=delta),
+            variance_floor=float(v.min()) / 2.0,
         )
     except DiffvarError as exc:
         # scenario configuration comes entirely from flags
         raise _UsageError(str(exc)) from exc
 
 
-def _check_integration_grid(args, integrated: bool) -> None:
-    if integrated and args.grid_size < 2:
-        raise _UsageError("--grid-size must be >= 2 for the integrated risk")
+def _check_risk_flags(args, integrated: bool) -> None:
+    _check_replicated(args, 2)
+    _require(0.0 <= args.margin < 0.5, "--margin must be in [0, 0.5)")
+    _require(not integrated or args.grid_size >= 2,
+             "--grid-size must be >= 2 for the integrated risk")
 
 
 def _cmd_simulate(args) -> int:
-    _check_integration_grid(args, not args.no_global)
+    _check_risk_flags(args, not args.no_global)
     scenario = _build_scenario(args)
     seq = _resolve_sequence(args)
     h = _fixed_bandwidth(args, args.n)
@@ -271,7 +295,8 @@ def _cmd_rates(args) -> int:
     ns = sorted(set(args.n))
     if len(ns) < 4:
         raise _UsageError("need at least 4 distinct --n values")
-    _check_integration_grid(args, args.pointwise is None)
+    _require(args.gamma > 0, "--gamma must be > 0")
+    _check_risk_flags(args, args.pointwise is None)
     seq = _resolve_sequence(args)
     degree = args.degree if args.degree is not None else int(np.floor(args.gamma)) + 1
     schedule = simlab.rate_schedule(
@@ -288,6 +313,7 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_normality(args) -> int:
+    _check_replicated(args, 500)
     try:
         law = simlab.ErrorLaw(args.error_law, df=args.df)
         scenario = simlab.smooth_scenario(args.n, error_law=law)
@@ -316,6 +342,8 @@ def _cmd_diffseq(args) -> int:
     if sum(chosen) != 1:
         raise _UsageError("choose exactly one of --optimal, --standard, --validate")
     if args.optimal is not None:
+        _require(args.optimal >= 1, "--optimal must be >= 1")
+        _require(args.tolerance > 0, "--tolerance must be > 0")
         seq = diffseq.optimal_sequence(args.optimal, tolerance=args.tolerance)
     elif args.standard is not None:
         seq = diffseq.standard_sequence(args.standard)
@@ -384,11 +412,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--replications", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--sequence", default="first_difference",
-                   choices=["first_difference", "gsjs", "optimal"])
-    p.add_argument("--order", type=int, default=2)
-    p.add_argument("--sequence-file", default=None)
-    p.add_argument("--kernel", default="epanechnikov", choices=KERNEL_KINDS)
+    _add_sequence_flags(p)
     p.add_argument("--degree", type=int, default=None,
                    help="default: floor(gamma) + 1")
     p.add_argument("--pointwise", type=float, default=None,
@@ -409,11 +433,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--error-law", default="gaussian",
                    choices=["gaussian", "scaled_uniform", "student_t"])
     p.add_argument("--df", type=float, default=None)
-    p.add_argument("--sequence", default="first_difference",
-                   choices=["first_difference", "gsjs", "optimal"])
-    p.add_argument("--order", type=int, default=2)
-    p.add_argument("--sequence-file", default=None)
-    p.add_argument("--kernel", default="epanechnikov", choices=KERNEL_KINDS)
+    _add_sequence_flags(p)
     p.add_argument("--degree", type=int, default=1)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--output", default=None)

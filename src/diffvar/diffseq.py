@@ -5,7 +5,8 @@ sum(d) = 0 and sum(d^2) = 1.  Applied to r+1 consecutive responses it
 cancels a locally constant mean while keeping unit noise scale, which is
 what makes squared differences usable as local variance proxies.  The
 sequence also controls a variance inflation constant C >= (2r+1)/r; the
-minimizing sequences are computed here numerically.
+minimizing sequences are computed here directly, as minimum-phase
+spectral factors, without any numerical search.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, optimize
+# optimize is not used here; the name stays bound because
+# perfbench/tracing.py patches it on this module
+from scipy import optimize  # noqa: F401
 
 from .errors import (
     BadParameterError,
@@ -121,83 +124,55 @@ def min_constant(r: int) -> float:
     return (2.0 * r + 1.0) / r
 
 
-def _objective(z: np.ndarray, basis: np.ndarray):
-    """Sum of squared lag sums and its gradient, on the chart z -> B z/|z|.
+def _min_phase_factor(r: int) -> np.ndarray:
+    """Minimum-phase g (length r) with |1 - e^{iw}|^2 |G(w)|^2 = S(w).
 
-    The columns of ``basis`` span the zero-sum hyperplane orthonormally,
-    so normalizing z enforces both constraints at once.
+    S(w) = 1 - (1/r) sum_{k=1..r} cos(kw) is the spectral density whose
+    lag-k coefficients all equal -1/(2r).  Its double root at z = 1 is
+    deflated exactly: two cumulative sums of S's Laurent coefficients
+    give the 2r-1 coefficients of T = S / |1 - e^{iw}|^2, and T >= 1/4,
+    so log T is well conditioned.  Folding the real cepstrum of T onto
+    its causal half gives log G (Hall, Kay & Titterington, 1990).
     """
-    nz = np.linalg.norm(z)
-    u = z / nz
-    d = basis @ u
-    r = d.size - 1
-    a = _lag_sums(d)
-    grad_d = np.zeros_like(d)
-    for k in range(1, r + 1):
-        grad_d[: r + 1 - k] += 2.0 * a[k - 1] * d[k:]
-        grad_d[k:] += 2.0 * a[k - 1] * d[: r + 1 - k]
-    grad_u = basis.T @ grad_d
-    # project out the radial direction (objective is scale-invariant)
-    grad_z = (grad_u - u * (u @ grad_u)) / nz
-    return float(a @ a), grad_z
+    s = np.full(2 * r + 1, -0.5 / r)
+    s[r] = 1.0
+    t = -np.cumsum(np.cumsum(s))[: 2 * r - 1]
+    size = 1 << max(12, (64 * r - 1).bit_length())
+    wrapped = np.zeros(size)
+    wrapped[:r] = t[r - 1:]
+    wrapped[size - r + 1:] = t[: r - 1]
+    cepstrum = np.fft.irfft(np.log(np.fft.rfft(wrapped).real), size)
+    cepstrum[1: size // 2] *= 2.0
+    cepstrum[size // 2 + 1:] = 0.0
+    return np.fft.irfft(np.exp(np.fft.rfft(0.5 * cepstrum)), size)[:r]
 
 
-def _canonicalize(coeffs: np.ndarray) -> np.ndarray:
-    """Pick the representative with d_0 > 0, lexicographically largest.
+def optimal_sequence(r: int, tolerance: float = 1e-8) -> DifferenceSequence:
+    """The order-r sequence minimizing the variance factor, in closed form.
 
-    Global sign flips and coefficient reversal leave the variance factor
-    unchanged, so all four images are equivalent optima.
-    """
-    images = [coeffs, -coeffs, coeffs[::-1], -coeffs[::-1]]
-    candidates = [c for c in images if c[0] > 0.0]
-    return np.array(max(candidates, key=tuple))
-
-
-def optimal_sequence(
-    r: int,
-    tolerance: float = 1e-8,
-    restarts: int = 8,
-    seed: int = 20070422,
-) -> DifferenceSequence:
-    """Numerically minimize the variance factor over order-r sequences.
-
-    Runs seeded quasi-Newton descents from ``restarts`` random starting
-    points on the constraint manifold and keeps the best.  The result
-    satisfies variance_factor within ``tolerance`` of (2r+1)/r, else a
-    ConvergenceFailureError is raised.
+    Every lag sum of an optimal sequence equals -1/(2r), so d is a
+    spectral factor of S(w) = 1 - (1/r) sum_{k=1..r} cos(kw).  The one
+    returned is d = (1 - z) g with g the minimum-phase factor of
+    S / |1 - e^{iw}|^2.  No search and no random numbers are involved;
+    the minimum-phase factor is unique and has d_0 > 0 > d_1, ..., d_r.
+    The result must reach variance_factor within ``tolerance`` of
+    (2r+1)/r, else a ConvergenceFailureError is raised.
     """
     if r < 1:
         raise NonPositiveOrderError(f"order must be >= 1, got {r}")
     if tolerance <= 0:
         raise BadParameterError(f"tolerance must be > 0, got {tolerance}")
+    d = np.convolve(_min_phase_factor(r), [1.0, -1.0])
+    # exact renormalization removes the rounding left by the FFTs
+    d = d / np.linalg.norm(d)
+    d = d - d.mean()
+    d = d / np.linalg.norm(d)
+    seq = DifferenceSequence(d)
     target = min_constant(r)
-    basis = linalg.null_space(np.ones((1, r + 1)))
-    rng = np.random.default_rng(seed)
-    best_c = np.inf
-    best_d = None
-    for _ in range(restarts):
-        z0 = rng.standard_normal(r)
-        res = optimize.minimize(
-            _objective,
-            z0,
-            args=(basis,),
-            jac=True,
-            method="BFGS",
-            options={"gtol": 1e-12, "maxiter": 1000},
-        )
-        if np.linalg.norm(res.jac) > 1e-10:
-            continue
-        d = basis @ (res.x / np.linalg.norm(res.x))
-        c = 2.0 * (1.0 + 2.0 * res.fun)
-        if c < best_c:
-            best_c, best_d = c, d
-    if best_d is None or best_c - target > tolerance:
+    c = variance_factor(seq)
+    if not c - target <= tolerance:
         raise ConvergenceFailureError(
-            f"no restart reached C within {tolerance} of {target} for r={r} "
-            f"(best C = {best_c})"
+            f"computed order-{r} sequence has C = {c}, not within "
+            f"{tolerance} of {target}"
         )
-    # exact renormalization guards against drift in the last BFGS step
-    best_d = best_d / np.linalg.norm(best_d)
-    best_d = best_d - best_d.mean()
-    best_d = best_d / np.linalg.norm(best_d)
-    return DifferenceSequence(_canonicalize(best_d))
+    return seq

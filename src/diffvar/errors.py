@@ -36,7 +36,7 @@ class NonPositiveOrderError(DiffvarError, ValueError):
 
 
 class ConvergenceFailureError(DiffvarError, RuntimeError):
-    """Optimizer did not reach the requested tolerance."""
+    """A computed result missed its requested tolerance."""
 
 
 # --- local polynomial smoothing ---

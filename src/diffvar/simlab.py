@@ -44,7 +44,6 @@ __all__ = [
     "FunctionSpec",
     "function_spec",
     "ErrorLaw",
-    "HoelderClassSpec",
     "Scenario",
     "smooth_scenario",
     "constant_scenario",
@@ -163,26 +162,14 @@ class ErrorLaw:
         return {"kind": self.kind, "df": self.df}
 
 
-@dataclass(frozen=True)
-class HoelderClassSpec:
-    """Smoothness class parameters a scenario function is declared to satisfy."""
-
-    gamma: float
-    c1: float
-    c2: float
-    delta: float = 0.0
-
-    def __post_init__(self):
-        if self.gamma <= 0 or self.c1 <= 0 or self.c2 <= 0 or self.delta < 0:
-            raise BadScenarioError("class constants must be positive (delta >= 0)")
-
-
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """A complete simulation configuration.
 
     ``design`` is either None (equispaced x_i = i/(n+1)) or an explicit
     strictly increasing vector inside (0, 1) of length n.
+    ``variance_floor`` is the declared lower bound of the variance
+    function on the design, which :func:`generate_sample` enforces.
     """
 
     label: str
@@ -190,13 +177,16 @@ class Scenario:
     var_fn: FunctionSpec
     n: int
     error_law: ErrorLaw = ErrorLaw("gaussian")
-    mean_class: HoelderClassSpec = HoelderClassSpec(2.0, 40.0, 3.0)
-    var_class: HoelderClassSpec = HoelderClassSpec(2.0, 10.0, 0.75, delta=0.25)
+    variance_floor: float = 0.25
     design: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n < 2:
             raise BadScenarioError(f"need n >= 2, got {self.n}")
+        if not self.variance_floor >= 0.0:
+            raise BadScenarioError(
+                f"variance_floor must be >= 0, got {self.variance_floor}"
+            )
         if self.design is not None:
             d = np.asarray(self.design, dtype=float)
             object.__setattr__(self, "design", d)
@@ -247,7 +237,7 @@ def constant_scenario(
         var_fn=function_spec("constant", value=variance),
         n=n,
         error_law=error_law,
-        var_class=HoelderClassSpec(2.0, 10.0, variance, delta=variance / 2.0),
+        variance_floor=variance / 2.0,
     )
 
 
@@ -262,7 +252,6 @@ def rough_mean_scenario(n: int, beta: float,
         var_fn=function_spec("sine", offset=0.5, amplitude=0.25),
         n=n,
         error_law=error_law,
-        mean_class=HoelderClassSpec(beta, 1.0, 1.0),
     )
 
 
@@ -283,25 +272,24 @@ def quadratic_variance_scenario(
         var_fn=function_spec("quadratic", offset=offset, curvature=curvature, center=0.5),
         n=n,
         error_law=error_law,
-        var_class=HoelderClassSpec(2.0, 2.0 * curvature, offset + curvature, delta=offset / 2.0),
+        variance_floor=offset / 2.0,
     )
 
 
 def generate_sample(scenario: Scenario, seed, check_delta: bool = True) -> Sample:
     """Draw one dataset from the scenario, deterministically in the seed.
 
-    ``check_delta`` enforces the variance lower bound declared by the
-    scenario's variance class; disable it to simulate degenerate cases
-    such as exactly noise-free data.
+    ``check_delta`` enforces the scenario's ``variance_floor``; disable it
+    to simulate degenerate cases such as exactly noise-free data.
     """
     xs = scenario.design_points()
     variances = np.asarray(scenario.var_fn(xs), dtype=float)
     if np.any(variances < 0.0):
         raise BadScenarioError("variance function is negative on the design")
-    if check_delta and np.any(variances < scenario.var_class.delta):
+    if check_delta and np.any(variances < scenario.variance_floor):
         raise BadScenarioError(
             "variance function falls below the declared lower bound "
-            f"{scenario.var_class.delta}"
+            f"{scenario.variance_floor}"
         )
     rng = np.random.default_rng(seed)
     eps = scenario.error_law.draw(rng, xs.size)

@@ -24,7 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .errors import InsufficientSupportError, RankDeficientError, SmootherError
+from .errors import (
+    BadParameterError,
+    InsufficientSupportError,
+    RankDeficientError,
+    SmootherError,
+)
 from .kernels import KernelSpec, kernel
 
 __all__ = [
@@ -53,9 +58,11 @@ class SmootherConfig:
 
     def __post_init__(self):
         if not 0.0 < self.bandwidth <= 1.0:
-            raise ValueError(f"bandwidth must be in (0, 1], got {self.bandwidth}")
+            raise BadParameterError(
+                f"bandwidth must be in (0, 1], got {self.bandwidth}"
+            )
         if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
+            raise BadParameterError(f"degree must be >= 0, got {self.degree}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,11 +248,11 @@ def fit_at(
 def _checked_grid(grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("grid must be a nonempty 1-d sequence")
+        raise BadParameterError("grid must be a nonempty 1-d sequence")
     if np.any(np.diff(grid) < 0):
-        raise ValueError("grid must be sorted ascending")
+        raise BadParameterError("grid must be sorted ascending")
     if grid[0] < 0.0 or grid[-1] > 1.0:
-        raise ValueError("grid values must lie in [0, 1]")
+        raise BadParameterError("grid values must lie in [0, 1]")
     return grid
 
 

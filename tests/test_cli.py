@@ -275,3 +275,47 @@ class TestUsage:
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
+
+
+_SIM = ["simulate", "--n", "200", "--replications", "20", "--seed", "1",
+        "--bandwidth", "0.2"]
+_RATES = ["rates", "--gamma", "2", "--n", "100", "--n", "200", "--n", "300",
+          "--n", "400", "--replications", "10", "--seed", "1"]
+_NORM = ["normality", "--n", "200", "--replications", "500", "--seed", "1"]
+
+
+class TestFlagValues:
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--bandwidth", "0.2", "--grid-size", "0"],
+        ["estimate", "--bandwidth", "0.2", "--degree", "-1"],
+        ["estimate", "--bandwidth", "0.2", "--sequence", "optimal", "--order", "0"],
+        ["estimate", "--bandwidth", "cv", "--seed", "1", "--folds", "1"],
+        _SIM + ["--replications", "1"],
+        _SIM + ["--threads", "0"],
+        _SIM + ["--margin", "0.7"],
+        _SIM + ["--margin", "-0.1"],
+        _SIM + ["--degree", "-1"],
+        _SIM + ["--sequence", "optimal", "--order", "0"],
+        _RATES + ["--replications", "1"],
+        _RATES + ["--threads", "0"],
+        _RATES + ["--margin", "0.5"],
+        _RATES + ["--gamma", "-1"],
+        _RATES + ["--sequence", "optimal", "--order", "-2"],
+        _NORM + ["--replications", "499"],
+        _NORM + ["--threads", "0"],
+        _NORM + ["--sequence", "optimal", "--order", "0"],
+        ["diffseq", "--optimal", "0"],
+        ["diffseq", "--optimal", "2", "--tolerance", "0"],
+        ["diffseq", "--optimal", "2", "--tolerance", "-0.001"],
+    ])
+    def test_out_of_range_values_are_usage_errors(self, tmp_path, capsys, argv):
+        if argv[0] == "estimate":
+            inp = tmp_path / "data.csv"
+            write_sample_csv(inp, n=200)
+            argv = argv + ["--input", str(inp),
+                           "--output", str(tmp_path / "o.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o.csv").exists()

@@ -96,7 +96,7 @@ def test_optimal_order_one_is_first_difference():
     assert diffseq.variance_factor(seq) == pytest.approx(3.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("r", range(1, 7))
+@pytest.mark.parametrize("r", [*range(1, 7), 70])
 def test_optimal_reaches_min_constant(r):
     seq = diffseq.optimal_sequence(r, tolerance=1e-8)
     assert seq.order == r
@@ -125,9 +125,37 @@ def test_optimal_rejects_bad_args():
         diffseq.optimal_sequence(2, tolerance=0.0)
 
 
-def test_optimal_convergence_failure_without_restarts():
+def _lag_sums(d):
+    r = d.size - 1
+    return np.array([d[: r + 1 - k] @ d[k:] for k in range(1, r + 1)])
+
+
+@pytest.mark.parametrize(
+    "r, tol", [(r, 1e-12) for r in range(1, 21)] + [(70, 1e-11), (300, 1e-11)]
+)
+def test_optimal_lag_sums_all_equal_minimum_phase(r, tol):
+    # the optimality condition itself: every lag sum is -1/(2r); the
+    # minimum-phase representative has d_0 > 0 > d_1, ..., d_r
+    seq = diffseq.optimal_sequence(r)
+    assert np.max(np.abs(_lag_sums(seq.coeffs) + 0.5 / r)) <= tol
+    assert diffseq.variance_factor(seq) - diffseq.min_constant(r) <= 1e-12
+    assert seq.coeffs[0] > 0.0
+    assert np.all(seq.coeffs[1:] < 0.0)
+
+
+def test_optimal_order_four_known_coefficients():
+    seq = diffseq.optimal_sequence(4)
+    expected = [0.887277863, -0.309912359, -0.246397531, -0.190087641,
+                -0.140880332]
+    assert np.allclose(seq.coeffs, expected, rtol=0.0, atol=1e-9)
+
+
+def test_optimal_tolerance_is_a_postcondition(monkeypatch):
+    # a factor that is not the spectral one gives (1, 0, -1)/sqrt(2),
+    # whose C = 3 misses (2r+1)/r = 2.5
+    monkeypatch.setattr(diffseq, "_min_phase_factor", lambda r: np.ones(r))
     with pytest.raises(ConvergenceFailureError):
-        diffseq.optimal_sequence(2, restarts=0)
+        diffseq.optimal_sequence(2)
 
 
 def _random_valid(rng, r, count):

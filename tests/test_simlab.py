@@ -15,7 +15,6 @@ from diffvar.serialize import dump_json, plain
 from diffvar.simlab import (
     ErrorLaw,
     EstimatorConfig,
-    HoelderClassSpec,
     Scenario,
     bias_variance_experiment,
     constant_scenario,
@@ -103,9 +102,11 @@ class TestScenario:
         with pytest.raises(BadScenarioError):
             Scenario("bad", fn, fn, n=2, design=np.array([0.0, 0.4]))
 
-    def test_class_spec_validation(self):
+    def test_variance_floor_validation(self):
+        fn = function_spec("constant", value=1.0)
         with pytest.raises(BadScenarioError):
-            HoelderClassSpec(0.0, 1.0, 1.0)
+            Scenario("bad", fn, fn, n=4, variance_floor=-0.1)
+        assert Scenario("ok", fn, fn, n=4, variance_floor=0.0).variance_floor == 0.0
 
 
 class TestGenerateSample:
@@ -119,7 +120,7 @@ class TestGenerateSample:
     def test_delta_check(self):
         fn0 = function_spec("constant", value=0.0)
         mean = function_spec("constant", value=3.0)
-        scen = Scenario("zero-var", mean, fn0, n=50)  # default delta 0.25
+        scen = Scenario("zero-var", mean, fn0, n=50)  # default variance_floor 0.25
         with pytest.raises(BadScenarioError):
             generate_sample(scen, 0)
         sample = generate_sample(scen, 0, check_delta=False)

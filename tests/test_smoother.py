@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diffvar.errors import InsufficientSupportError, RankDeficientError
+from diffvar.errors import BadParameterError, InsufficientSupportError, RankDeficientError
 from diffvar.kernels import KERNEL_KINDS, kernel, kernel_eval
 from diffvar.smoother import (
     SmootherConfig,
@@ -208,10 +208,9 @@ def test_fit_on_grid_single_point_and_validation():
     config = SmootherConfig(0.3, 1)
     fits = fit_on_grid(xs, zs, config, [0.5])
     assert len(fits) == 1
-    with pytest.raises(ValueError):
-        fit_on_grid(xs, zs, config, [0.9, 0.1])
-    with pytest.raises(ValueError):
-        fit_on_grid(xs, zs, config, [0.5, 1.2])
+    for grid in ([], [[0.5]], [0.9, 0.1], [0.5, 1.2]):
+        with pytest.raises(BadParameterError):
+            fit_on_grid(xs, zs, config, grid)
 
 
 def test_fit_on_grid_tags_offending_point():
@@ -245,14 +244,15 @@ def test_weight_operator_records_expansion_and_tags_failures():
     with pytest.raises(InsufficientSupportError) as info:
         weight_operator(xs, config, [0.2, 0.5, 0.8])
     assert info.value.grid_point == pytest.approx(0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameterError):
         weight_operator(xs, config, [0.8, 0.2])
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameterError):
         SmootherConfig(0.0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameterError):
         SmootherConfig(1.5, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameterError):
         SmootherConfig(0.2, -1)
+
