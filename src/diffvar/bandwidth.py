@@ -17,7 +17,9 @@ import numpy as np
 from .diffseq import DifferenceSequence
 from .errors import AllCandidatesFailedError, BadParameterError, SmootherError
 from .estimator import Sample, pseudoresiduals
-from .smoother import SmootherConfig, fit_at
+# fit_at is no longer called here; the name stays bound because
+# perfbench/tracing.py patches it on this module
+from .smoother import SmootherConfig, fit_at, weight_operator  # noqa: F401
 
 __all__ = [
     "rate_optimal_bandwidth",
@@ -95,8 +97,7 @@ class CvReport:
         }
 
 
-def _fold_indices(m: int, folds: int, order: int,
-                  block_length: int | None) -> list[np.ndarray]:
+def _fold_indices(m: int, folds: int, order: int) -> list[np.ndarray]:
     """Assign contiguous index blocks to folds round-robin.
 
     Adjacent contrasts are dependent up to lag ``order``, so folds are
@@ -106,8 +107,7 @@ def _fold_indices(m: int, folds: int, order: int,
     within half a block of training data, so small candidate bandwidths
     remain predictable.
     """
-    if block_length is None:
-        block_length = max(5 * (order + 1), -(-m // (folds * 8)))
+    block_length = max(5 * (order + 1), -(-m // (folds * 8)))
     blocks = [np.arange(s, min(s + block_length, m))
               for s in range(0, m, block_length)]
     if len(blocks) < folds:
@@ -127,20 +127,19 @@ def cv_select(
     grid: BandwidthGrid,
     folds: int = 5,
     seed: int = 0,
-    block_length: int | None = None,
 ) -> CvReport:
     """Pick the candidate bandwidth with the smallest held-out error.
 
     Contrast indices are split into contiguous blocks assigned
     round-robin to ``folds`` folds.  For each candidate h, each fold's
-    squared contrasts are predicted from a fit on the remaining folds
-    (same kernel and degree as ``config_base``, only h varies) and the
-    squared prediction errors are summed.  Candidates whose fits fail on
-    any fold are disqualified and listed; if none survive,
-    AllCandidatesFailedError is raised.
+    squared contrasts are predicted by the :func:`weight_operator` of the
+    remaining folds (same kernel and degree as ``config_base``, only h
+    varies) and the squared prediction errors are summed.  Candidates
+    whose fits fail on any fold are disqualified and listed; if none
+    survive, AllCandidatesFailedError is raised.
 
-    The block assignment is deterministic; ``seed`` is recorded in the
-    report so reruns are identifiable.
+    The folds are deterministic; ``seed`` only labels the report as
+    ``fold_assignment_seed``.
     """
     if folds < 2:
         raise BadParameterError(f"need folds >= 2, got {folds}")
@@ -150,7 +149,7 @@ def cv_select(
     m = z.size
     # training data depend on the fold only, so copy them once per fold
     splits = []
-    for held_out in _fold_indices(m, folds, seq.order, block_length):
+    for held_out in _fold_indices(m, folds, seq.order):
         train = np.setdiff1d(np.arange(m), held_out, assume_unique=True)
         splits.append((held_out, xs[train], z[train]))
 
@@ -161,9 +160,10 @@ def cv_select(
         total = 0.0
         try:
             for held_out, xs_train, z_train in splits:
-                for i in held_out:
-                    fit = fit_at(xs_train, z_train, config, xs[i])
-                    total += (z[i] - fit.value) ** 2
+                # held-out abscissae ascend inside (0, 1): a valid grid
+                fitted = weight_operator(xs_train, config, xs[held_out]).apply(z_train)
+                resid = z[held_out] - fitted
+                total += float(resid @ resid)
         except SmootherError as exc:
             disqualified.append((float(h), f"{type(exc).__name__}: {exc}"))
             continue

@@ -58,11 +58,12 @@ class DifferenceSequence:
             raise TooShortError(
                 f"need at least two coefficients, got {coeffs.size}"
             )
-        total = float(coeffs.sum())
-        if abs(total) > _CONSTRAINT_TOL:
+        with np.errstate(invalid="ignore"):  # inf - inf: a nan sum, rejected next
+            total = float(coeffs.sum())
+        if not abs(total) <= _CONSTRAINT_TOL:
             raise SumNotZeroError(f"coefficients sum to {total!r}, not 0")
         sq = float(coeffs @ coeffs)
-        if abs(sq - 1.0) > _CONSTRAINT_TOL:
+        if not abs(sq - 1.0) <= _CONSTRAINT_TOL:
             raise NormNotOneError(f"squared coefficients sum to {sq!r}, not 1")
         if coeffs[0] == 0.0 or coeffs[-1] == 0.0:
             raise DegenerateEndpointError(

@@ -5,13 +5,12 @@ smooths the squares by local polynomial regression; the classical
 global estimators (first differences, the symmetric three-point
 pattern, and arbitrary-sequence averages) are provided as baselines.
 :class:`EstimatorConfig` bundles a sequence with smoother settings for
-the simulation lab and can bind its weights to one fixed design.
+the simulation lab and reuses its weights on an unchanged design.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -188,37 +187,26 @@ class EstimatorConfig:
 
     Instances are callable as estimator(sample, grid) -> values, the
     protocol every simulation experiment accepts, so tests can substitute
-    plain functions.  :meth:`bind` specializes an instance to one fixed
-    design and grid.
+    plain functions.  A call reuses the previous call's weights while the
+    design and grid are unchanged; errors building them propagate.
     """
 
     sequence: DifferenceSequence
     smoother: SmootherConfig
     expand_to_minimum: bool = False
+    # (design copy, grid copy, operator) of the last successful build
+    _last: tuple | None = field(default=None, init=False, repr=False)
 
     def __call__(self, sample: Sample, grid) -> np.ndarray:
-        return estimate_variance(
-            sample, self.sequence, self.smoother, grid,
-            expand_to_minimum=self.expand_to_minimum,
-        ).values
-
-    def bind(self, design_xs, grid) -> Callable[[Sample, np.ndarray], np.ndarray]:
-        """This estimator with its weights built once for one design and grid.
-
-        Every sample on ``design_xs`` reuses one :func:`variance_operator`;
-        a sample on another design, or another grid, takes the full path.
-        Errors building the weights propagate.
-        """
-        xs, bound_grid = np.asarray(design_xs, float), np.asarray(grid, float)
-        operator = variance_operator(xs, self.sequence, self.smoother,
-                                     bound_grid, self.expand_to_minimum)
-
-        def bound(sample: Sample, grid) -> np.ndarray:
-            if np.array_equal(sample.xs, xs) and np.array_equal(grid, bound_grid):
-                return operator.apply(pseudoresiduals(sample, self.sequence).values ** 2)
-            return self(sample, grid)
-
-        return bound
+        grid = np.asarray(grid, dtype=float)
+        last = self._last
+        if (last is None or not np.array_equal(sample.xs, last[0])
+                or not np.array_equal(grid, last[1])):
+            operator = variance_operator(sample.xs, self.sequence, self.smoother,
+                                         grid, self.expand_to_minimum)
+            last = (sample.xs.copy(), grid.copy(), operator)
+            object.__setattr__(self, "_last", last)
+        return last[2].apply(pseudoresiduals(sample, self.sequence).values ** 2)
 
     def to_dict(self) -> dict:
         return {

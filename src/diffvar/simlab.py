@@ -9,9 +9,9 @@ diagnostics of the estimator's replication distribution, and compares
 rough-mean against flat-mean risk.
 
 The design is fixed within an experiment, so an :class:`EstimatorConfig`
-(defined in :mod:`diffvar.estimator`) builds its local-fit weights once
-per (design, smoother, grid) and each replication only draws a sample
-and applies them to its contrasts.
+(defined in :mod:`diffvar.estimator`), which reuses its weights on an
+unchanged design and grid, builds them once per experiment and each
+replication only draws a sample and applies them to its contrasts.
 
 Reproducibility contract: every experiment takes one master seed;
 replication streams are spawned from it, so results are bit-identical
@@ -299,21 +299,6 @@ def generate_sample(scenario: Scenario, seed, check_delta: bool = True) -> Sampl
 
 # --- estimators as callables ---------------------------------------------
 
-def _bind(estimator, design_xs, grid):
-    """``estimator.bind(design_xs, grid)`` where the estimator has it.
-
-    Plain functions, and estimators whose weights fail to build, come
-    back unbound: a build failure depends on the design alone, so the
-    full path then fails every replication with that same error.
-    """
-    if not hasattr(estimator, "bind"):
-        return estimator
-    try:
-        return estimator.bind(design_xs, grid)
-    except DiffvarError:
-        return estimator
-
-
 def _describe(estimator) -> dict | str:
     if hasattr(estimator, "to_dict"):
         return estimator.to_dict()
@@ -334,9 +319,9 @@ def _replicate(replications: int, seed, rep_fn, threads: int = 1):
     Returns (results, failures): results is a list in replication order
     with None at failed indices; failures is a list of (index, message).
     Estimator failures (DiffvarError) are recorded, anything else
-    propagates.  Callers bind their estimator first (:func:`_bind`), so
-    a replication factorizes nothing.  ``threads`` is validated only: a
-    thread pool was slower than this loop on GIL-bound numpy calls.
+    propagates.  An :class:`EstimatorConfig` factorizes in the first
+    replication only.  ``threads`` is validated only: a thread pool was
+    slower than this loop on GIL-bound numpy calls.
     """
     if threads < 1:
         raise BadParameterError(f"threads must be >= 1, got {threads}")
@@ -391,7 +376,6 @@ def pointwise_risk(
         raise BadParameterError("need at least 2 replications")
     v_true = float(np.asarray(scenario.var_fn(np.array([x0])))[0])
     grid = np.array([float(x0)])
-    estimator = _bind(estimator, scenario.design_points(), grid)
 
     def rep(child):
         sample = generate_sample(scenario, child)
@@ -419,7 +403,6 @@ def global_risk(
         grid = np.linspace(margin, 1.0 - margin, grid_size)
     grid = _integration_grid(grid)
     v_true = np.asarray(scenario.var_fn(grid), dtype=float)
-    estimator = _bind(estimator, scenario.design_points(), grid)
 
     def rep(child):
         sample = generate_sample(scenario, child)
@@ -697,7 +680,6 @@ def normality_experiment(
     if replications < 500:
         raise BadParameterError("need at least 500 replications")
     grid = np.array([float(x0)])
-    estimator = _bind(estimator, scenario.design_points(), grid)
 
     def rep(child):
         sample = generate_sample(scenario, child)
@@ -861,8 +843,7 @@ def mean_effect_experiment(
             n=n,
             error_law=rough.error_law,
         )
-        # both arms share the equispaced design, so one binding serves both
-        est = _bind(schedule(n), rough.design_points(), grid)
+        est = schedule(n)
         v_true = np.asarray(rough.var_fn(grid), dtype=float)
 
         def rep(rep_seed, rough=rough, flat=flat, est=est, v_true=v_true):

@@ -1,19 +1,20 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from diffvar import diffseq, simlab
+from diffvar import bandwidth, diffseq, simlab
 from diffvar.bandwidth import (
     BandwidthGrid,
     cv_select,
     default_grid,
     rate_optimal_bandwidth,
 )
-from diffvar.errors import AllCandidatesFailedError, BadParameterError
+from diffvar.errors import AllCandidatesFailedError, BadParameterError, SmootherError
 from diffvar.estimator import Sample, pseudoresiduals
 from diffvar.serialize import dump_json
-from diffvar.smoother import SmootherConfig, effective_weights
+from diffvar.smoother import SmootherConfig, effective_weights, fit_at
 
 FD = diffseq.standard_sequence("first_difference")
 
@@ -114,6 +115,38 @@ class TestCvSelect:
         assert len(report.disqualified) == 1
         assert report.disqualified[0][0] == pytest.approx(0.001)
         assert "InsufficientSupport" in report.disqualified[0][1]
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_scores_match_a_per_point_fit_loop(self, degree):
+        sample = _toy_sample(n=300, seed=5)
+        base = SmootherConfig(0.25, degree)
+        grid = BandwidthGrid(np.array([0.004, 0.05, 0.12, 0.3]))
+        report = cv_select(sample, FD, base, grid, folds=4, seed=0)
+
+        series = pseudoresiduals(sample, FD)
+        xs, z = series.center_xs, series.values**2
+        expected, reasons = {}, {}
+        for h in grid.candidates:
+            config = replace(base, bandwidth=float(h))
+            total = 0.0
+            try:
+                for held_out in bandwidth._fold_indices(z.size, 4, FD.order):
+                    train = np.setdiff1d(np.arange(z.size), held_out)
+                    for i in held_out:
+                        fit = fit_at(xs[train], z[train], config, xs[i])
+                        total += (z[i] - fit.value) ** 2
+            except SmootherError as exc:
+                reasons[float(h)] = f"{type(exc).__name__}: {exc}"
+                continue
+            expected[float(h)] = total
+
+        assert dict(report.disqualified) == reasons
+        assert list(reasons) == [0.004]
+        scores = dict(report.scores)
+        assert list(scores) == list(expected)
+        for h, score in expected.items():
+            assert scores[h] == pytest.approx(score, rel=1e-12, abs=0)
+        assert report.selected == min(expected, key=lambda h: (expected[h], h))
 
     def test_all_candidates_failed(self):
         sample = _toy_sample(n=200)

@@ -264,6 +264,27 @@ class TestDiffseq:
         assert main(["diffseq", "--validate", "0.5,0.5"]) == 2
         assert "SumNotZero" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+    @pytest.mark.parametrize("command, coeffs", [
+        ("diffseq", "nan,nan"), ("diffseq", "inf,-inf"), ("estimate", "[NaN, NaN]"),
+    ])
+    def test_non_finite_sequence_is_input_error(self, tmp_path, capsys, command, coeffs):
+        out = tmp_path / "o.csv"
+        if command == "diffseq":
+            argv = ["diffseq", "--validate", coeffs, "--output", str(out)]
+        else:
+            inp, seq = tmp_path / "data.csv", tmp_path / "seq.json"
+            write_sample_csv(inp, n=200)
+            seq.write_text(coeffs)
+            argv = ["estimate", "--input", str(inp), "--output", str(out),
+                    "--bandwidth", "0.2", "--sequence-file", str(seq)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "sum to nan" in captured.err
+        assert not out.exists()
+
     def test_exactly_one_mode(self):
         assert main(["diffseq"]) == 1
         assert main(["diffseq", "--optimal", "2", "--standard", "gsjs"]) == 1

@@ -25,6 +25,9 @@ def test_validate_first_difference():
 def test_validate_rejects_bad_sum():
     with pytest.raises(SumNotZeroError):
         diffseq.validate([0.5, 0.5])
+    for coeffs in ([np.nan, np.nan], [0.5, np.nan, -0.5], [np.inf, -np.inf]):
+        with pytest.raises(SumNotZeroError):
+            diffseq.validate(coeffs)
 
 
 def test_validate_rejects_bad_norm():

@@ -10,7 +10,7 @@ from diffvar.errors import (
     BadScenarioError,
     InsufficientSupportError,
 )
-from diffvar.estimator import estimate_variance, pseudoresiduals
+from diffvar.estimator import Sample, estimate_variance, pseudoresiduals
 from diffvar.serialize import dump_json, plain
 from diffvar.simlab import (
     ErrorLaw,
@@ -231,20 +231,21 @@ def gap_scenario():
 
 
 class TestBoundEstimator:
+    """An EstimatorConfig reuses its weights only for an unchanged design and grid."""
+
     @pytest.mark.parametrize("degree", [1, 3])
     def test_matches_fit_path_with_expansion(self, degree):
         scen = gap_scenario()
         grid = np.linspace(0.05, 0.95, 19)
         smoother_config = SmootherConfig(0.08, degree)
         est = EstimatorConfig(FD, smoother_config, expand_to_minimum=True)
-        bound = est.bind(scen.design_points(), grid)
         for seed in range(3):
             sample = generate_sample(scen, seed)
             series = pseudoresiduals(sample, FD)
             fits = fit_on_grid(series.center_xs, series.values**2,
                                smoother_config, grid, expand_to_minimum=True)
             expected = np.array([fit.value for fit in fits])
-            np.testing.assert_allclose(bound(sample, grid), expected,
+            np.testing.assert_allclose(est(sample, grid), expected,
                                        rtol=1e-12, atol=0)
         expanded = tuple(fit.weights.eval_point for fit in fits if fit.expanded)
         assert 0.5 in np.round(expanded, 12)
@@ -253,13 +254,42 @@ class TestBoundEstimator:
         assert estimate.provenance.expanded_points == expanded
 
     def test_other_design_or_grid_takes_the_full_path(self):
-        est = EstimatorConfig(FD, SmootherConfig(0.2, 1))
+        config = SmootherConfig(0.2, 1)
+        est = EstimatorConfig(FD, config)
         grid = np.linspace(0.1, 0.9, 9)
-        bound = est.bind(smooth_scenario(200).design_points(), grid)
-        other = generate_sample(smooth_scenario(150), 4)
-        assert np.array_equal(bound(other, grid), est(other, grid))
         sample = generate_sample(smooth_scenario(200), 4)
-        assert np.array_equal(bound(sample, grid[:5]), est(sample, grid[:5]))
+        est(sample, grid)
+        other = generate_sample(smooth_scenario(150), 4)
+        assert np.array_equal(est(other, grid),
+                              estimate_variance(other, FD, config, grid).values)
+        est(sample, grid)
+        assert np.array_equal(est(sample, grid[:5]),
+                              estimate_variance(sample, FD, config, grid[:5]).values)
+
+    def test_alternating_designs_and_grids_match_a_fresh_instance(self):
+        config = SmootherConfig(0.2, 2)
+        est = EstimatorConfig(FD, config)
+        samples = [generate_sample(smooth_scenario(n), 4) for n in (200, 150)]
+        grids = [np.linspace(0.1, 0.9, 9), np.linspace(0.2, 0.8, 4)]
+        for s, g in [(0, 0), (1, 0), (0, 1), (0, 1), (0, 0), (1, 1), (0, 0)]:
+            fresh = EstimatorConfig(FD, config)(samples[s], grids[g])
+            assert np.array_equal(est(samples[s], grids[g]), fresh)
+
+    def test_mutating_the_arrays_in_place_is_not_served_stale(self):
+        config = SmootherConfig(0.2, 1)
+        est = EstimatorConfig(FD, config)
+        xs = np.linspace(0.01, 0.99, 200)
+        ys = np.random.default_rng(0).standard_normal(xs.size)
+        sample = Sample(xs, ys)
+        grid = np.linspace(0.1, 0.9, 9)
+        est(sample, grid)
+        xs *= xs  # still increasing inside (0, 1)
+        assert sample.xs is xs
+        assert np.array_equal(est(sample, grid),
+                              EstimatorConfig(FD, config)(sample, grid))
+        grid[:] = np.linspace(0.3, 0.7, 9)
+        assert np.array_equal(est(sample, grid),
+                              EstimatorConfig(FD, config)(sample, grid))
 
     def test_build_failure_fails_every_replication_as_before(self, monkeypatch):
         seen = []
@@ -306,6 +336,19 @@ class TestFactorizationCounts:
         report = normality_experiment(smooth_scenario(300), est, 0.5, 500, 4)
         assert report.draws.size == 500
         assert factorizations == [0.5]
+
+    def test_repeated_calls_reuse_the_weights(self, factorizations):
+        est = EstimatorConfig(FD, SmootherConfig(0.2, 1))
+        sample = generate_sample(smooth_scenario(300), 1)
+        grid = np.linspace(0.1, 0.9, 13)
+        first = est(sample, grid)
+        assert np.array_equal(est(sample, grid.copy()), first)
+        assert len(factorizations) == 13
+
+    def test_mean_effect_arms_share_one_build(self, factorizations):
+        report = mean_effect_experiment(2.0, 0.3, (128, 256), 3, 4, grid_size=11)
+        assert report.ns == (128, 256)
+        assert len(factorizations) == 2 * 11
 
 
 class TestRiskReport:
