@@ -34,7 +34,7 @@ def rate_optimal_bandwidth(n: int, gamma: float, scale: float = 1.0) -> float:
     """scale * n^(-1/(2*gamma+1)), clamped into (0, 0.5]."""
     if n < 2:
         raise BadParameterError(f"need n >= 2, got {n}")
-    if gamma <= 0 or scale <= 0:
+    if not (gamma > 0 and scale > 0):
         raise BadParameterError("gamma and scale must be positive")
     return float(min(scale * n ** (-1.0 / (2.0 * gamma + 1.0)), 0.5))
 

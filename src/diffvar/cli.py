@@ -144,6 +144,10 @@ def _require(ok: bool, message: str) -> None:
         raise _UsageError(message)
 
 
+def _require_unit_point(value: float, flag: str) -> None:
+    _require(0.0 <= value <= 1.0, f"{flag} must be in [0, 1], got {value}")
+
+
 def _check_replicated(args, min_replications: int) -> None:
     """Flags shared by the replicated experiments."""
     _require(args.replications >= min_replications,
@@ -179,6 +183,8 @@ def _fixed_bandwidth(args, n: int) -> float:
     if args.bandwidth == "rate":
         if args.gamma is None:
             raise _UsageError("--bandwidth rate requires --gamma")
+        _require(args.gamma > 0, "--gamma must be > 0")
+        _require(args.scale > 0, "--scale must be > 0")
         return bw.rate_optimal_bandwidth(n, args.gamma, args.scale)
     try:
         h = float(args.bandwidth)
@@ -272,9 +278,11 @@ def _check_risk_flags(args, integrated: bool) -> None:
 
 def _cmd_simulate(args) -> int:
     _check_risk_flags(args, not args.no_global)
+    for x0 in args.x0 or []:
+        _require_unit_point(x0, "--x0")
+    h = _fixed_bandwidth(args, args.n)
     scenario = _build_scenario(args)
     seq = _resolve_sequence(args)
-    h = _fixed_bandwidth(args, args.n)
     est = simlab.EstimatorConfig(
         sequence=seq,
         smoother=SmootherConfig(h, args.degree, kernel(args.kernel)),
@@ -296,6 +304,9 @@ def _cmd_rates(args) -> int:
     if len(ns) < 4:
         raise _UsageError("need at least 4 distinct --n values")
     _require(args.gamma > 0, "--gamma must be > 0")
+    _require(args.scale > 0, "--scale must be > 0")
+    if args.pointwise is not None:
+        _require_unit_point(args.pointwise, "--pointwise")
     _check_risk_flags(args, args.pointwise is None)
     seq = _resolve_sequence(args)
     degree = args.degree if args.degree is not None else int(np.floor(args.gamma)) + 1
@@ -314,6 +325,8 @@ def _cmd_rates(args) -> int:
 
 def _cmd_normality(args) -> int:
     _check_replicated(args, 500)
+    _require_unit_point(args.x0, "--x0")
+    _require(args.undersmooth_scale > 0, "--undersmooth-scale must be > 0")
     try:
         law = simlab.ErrorLaw(args.error_law, df=args.df)
         scenario = simlab.smooth_scenario(args.n, error_law=law)

@@ -14,9 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# optimize is not used here; the name stays bound because
-# perfbench/tracing.py patches it on this module
-from scipy import optimize  # noqa: F401
 
 from .errors import (
     BadParameterError,
@@ -177,3 +174,13 @@ def optimal_sequence(r: int, tolerance: float = 1e-8) -> DifferenceSequence:
             f"{tolerance} of {target}"
         )
     return seq
+
+
+def __getattr__(name):
+    # optimize is not used here; perfbench/tracing.py patches that name on
+    # this module, so scipy.optimize is imported only when it is asked for
+    if name == "optimize":
+        from scipy import optimize
+
+        return optimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from .bandwidth import rate_optimal_bandwidth
 from .diffseq import DifferenceSequence
@@ -367,6 +366,14 @@ def _integration_grid(grid) -> np.ndarray:
     return grid
 
 
+def _point_grid(x0) -> np.ndarray:
+    """The one-point grid at x0, which must be a finite point of [0, 1]."""
+    x0 = float(x0)
+    if not 0.0 <= x0 <= 1.0:
+        raise BadParameterError(f"x0 must be in [0, 1], got {x0}")
+    return np.array([x0])
+
+
 def pointwise_risk(
     scenario: Scenario, estimator, x0: float, replications: int, seed,
     threads: int = 1,
@@ -374,8 +381,8 @@ def pointwise_risk(
     """Mean squared error of the estimator at one point, over replications."""
     if replications < 2:
         raise BadParameterError("need at least 2 replications")
-    v_true = float(np.asarray(scenario.var_fn(np.array([x0])))[0])
-    grid = np.array([float(x0)])
+    grid = _point_grid(x0)
+    v_true = float(np.asarray(scenario.var_fn(grid))[0])
 
     def rep(child):
         sample = generate_sample(scenario, child)
@@ -657,17 +664,32 @@ class NormalityReport:
 
 def normality_diagnostics(draws, failures: int = 0) -> NormalityReport:
     """Standardize draws and compute skewness, excess kurtosis and the
-    Kolmogorov distance to the standard normal."""
+    Kolmogorov distance to the standard normal.
+
+    Skewness m3/m2^1.5 and excess kurtosis m4/m2^2 - 3 use the biased
+    central moments m_k of the standardized draws; the Kolmogorov
+    distance is the largest gap between their empirical CDF and Phi.
+    """
     draws = np.asarray(draws, dtype=float)
     if draws.size < 8:
         raise BadParameterError("need at least 8 draws for shape diagnostics")
-    z = (draws - draws.mean()) / draws.std(ddof=0)
+    spread = draws.std(ddof=0)
+    if spread == 0.0:
+        raise BadParameterError("draws have zero spread; shape is undefined")
+    z = (draws - draws.mean()) / spread
+    centered = z - z.mean()
+    m2, m3, m4 = (np.mean(centered**k) for k in (2, 3, 4))
+    ordered = np.sort(z)
+    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in ordered])
+    n = ordered.size
+    above = np.max(np.arange(1, n + 1) / n - cdf)
+    below = np.max(cdf - np.arange(n) / n)
     return NormalityReport(
         draws=draws,
         standardized=z,
-        skewness=float(stats.skew(z)),
-        excess_kurtosis=float(stats.kurtosis(z)),
-        kolmogorov_distance=float(stats.kstest(z, "norm").statistic),
+        skewness=float(m3 / m2**1.5),
+        excess_kurtosis=float(m4 / m2**2 - 3.0),
+        kolmogorov_distance=float(max(above, below)),
         failures=failures,
     )
 
@@ -679,7 +701,7 @@ def normality_experiment(
     """Collect replication draws of the estimate at x0 and diagnose shape."""
     if replications < 500:
         raise BadParameterError("need at least 500 replications")
-    grid = np.array([float(x0)])
+    grid = _point_grid(x0)
 
     def rep(child):
         sample = generate_sample(scenario, child)
@@ -736,7 +758,7 @@ def bias_variance_experiment(
     if replications < 2:
         raise BadParameterError("need at least 2 replications")
     bandwidths = np.asarray(bandwidths, dtype=float)
-    grid = np.array([float(x0)])
+    grid = _point_grid(x0)
     operators = [
         variance_operator(scenario.design_points(), seq,
                           SmootherConfig(float(h), degree, kernel_spec), grid)

@@ -14,7 +14,10 @@ sum per grid point.
 The weighted design is solved through a QR factorization of the
 sqrt-weight-scaled, bandwidth-rescaled local design; normal equations
 are never formed.  A reciprocal-condition estimate below 1e-12 raises
-RankDeficientError instead of silently degrading the fit.
+RankDeficientError instead of silently degrading the fit.  The
+triangular factor is only (degree+1) x (degree+1), so its solves go
+through ``np.linalg.solve``, which at that size costs less per call
+than a dedicated triangular solver and keeps numpy the only dependency.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .errors import (
     BadParameterError,
@@ -184,7 +186,7 @@ def _factorize(xs: np.ndarray, config: SmootherConfig, x: float, expand: bool):
         )
     e0 = np.zeros(config.degree + 1)
     e0[0] = 1.0
-    w_eff = sqrt_w * (q @ linalg.solve_triangular(r, e0, trans="T", lower=False))
+    w_eff = sqrt_w * (q @ np.linalg.solve(r.T, e0))
     weights = EffectiveWeights(
         eval_point=float(x), indices=active, weights=w_eff, expanded=expanded
     )
@@ -233,7 +235,7 @@ def fit_at(
         xs, config, float(x), expand_to_minimum
     )
     rhs = q.T @ (sqrt_w * zs[weights.indices])
-    coefs_scaled = linalg.solve_triangular(r, rhs, lower=False)
+    coefs_scaled = np.linalg.solve(r, rhs)
     # undo the (x - x_i)/h rescaling: coefficient q multiplies (x - x_i)^q
     coefs = coefs_scaled / h ** np.arange(config.degree + 1)
     return LocalFit(

@@ -40,6 +40,9 @@ class TestRateOptimal:
             rate_optimal_bandwidth(100, 0.0)
         with pytest.raises(BadParameterError):
             rate_optimal_bandwidth(100, 2.0, scale=0.0)
+        for gamma, scale in ((float("nan"), 1.0), (2.0, float("nan"))):
+            with pytest.raises(BadParameterError):
+                rate_optimal_bandwidth(100, gamma, scale)
 
 
 class TestGrid:

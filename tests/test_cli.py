@@ -328,6 +328,19 @@ class TestFlagValues:
         ["diffseq", "--optimal", "0"],
         ["diffseq", "--optimal", "2", "--tolerance", "0"],
         ["diffseq", "--optimal", "2", "--tolerance", "-0.001"],
+        _SIM + ["--x0", "1.5"],
+        _SIM + ["--x0", "nan"],
+        _SIM[:-1] + ["rate", "--gamma", "nan"],
+        _SIM[:-1] + ["rate", "--gamma", "2", "--scale", "nan"],
+        _RATES + ["--pointwise", "1.5"],
+        _RATES + ["--pointwise", "nan"],
+        _RATES + ["--scale", "nan"],
+        _RATES + ["--scale", "0"],
+        _NORM + ["--x0", "1.5"],
+        _NORM + ["--x0", "nan"],
+        _NORM + ["--undersmooth-scale", "nan"],
+        _NORM + ["--undersmooth-scale", "-1"],
+        ["estimate", "--bandwidth", "rate", "--gamma", "nan"],
     ])
     def test_out_of_range_values_are_usage_errors(self, tmp_path, capsys, argv):
         if argv[0] == "estimate":

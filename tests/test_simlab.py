@@ -433,9 +433,27 @@ class TestNormality:
         assert report.standardized.mean() == pytest.approx(0.0, abs=1e-12)
         assert report.standardized.std(ddof=0) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("draws", [
+        np.random.default_rng(1).standard_normal(500),
+        np.random.default_rng(2).standard_t(5, 2000),
+        np.random.default_rng(3).standard_normal(8),
+        np.round(np.random.default_rng(4).standard_normal(300), 1),  # ties
+    ], ids=["gaussian500", "student_t2000", "minimum8", "ties"])
+    def test_statistics_match_scipy(self, draws):
+        report = normality_diagnostics(draws)
+        z = report.standardized
+        assert report.skewness == pytest.approx(stats.skew(z), abs=1e-12)
+        assert report.excess_kurtosis == pytest.approx(stats.kurtosis(z), abs=1e-12)
+        assert report.kolmogorov_distance == pytest.approx(
+            stats.kstest(z, "norm").statistic, abs=1e-12)
+
     def test_minimum_draws(self):
         with pytest.raises(BadParameterError):
             normality_diagnostics(np.arange(5.0))
+
+    def test_zero_spread_draws_raise(self):
+        with pytest.raises(BadParameterError, match="zero spread"):
+            normality_diagnostics(np.ones(10))
 
     def test_minimum_replications(self):
         scen = smooth_scenario(100)
@@ -452,6 +470,22 @@ class TestNormality:
         assert report.draws.std() > 0
         parsed = json.loads(dump_json(report))
         assert parsed["replications"] == 500
+
+
+class TestEvaluationPoint:
+    @pytest.mark.parametrize("x0", [1.5, -0.1, float("nan"), float("inf")])
+    def test_bad_x0_raises_before_any_replication(self, x0):
+        scen = smooth_scenario(100)
+
+        def est(sample, grid):
+            raise AssertionError("a replication ran")
+
+        with pytest.raises(BadParameterError, match="x0"):
+            pointwise_risk(scen, est, x0, 2, 0)
+        with pytest.raises(BadParameterError, match="x0"):
+            normality_experiment(scen, est, x0, 500, 0)
+        with pytest.raises(BadParameterError, match="x0"):
+            bias_variance_experiment(scen, FD, [0.2, 0.3], x0, 2, 0)
 
 
 class TestBiasVariance:

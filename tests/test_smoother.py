@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import linalg
 
 from diffvar.errors import BadParameterError, InsufficientSupportError, RankDeficientError
 from diffvar.kernels import KERNEL_KINDS, kernel, kernel_eval
@@ -256,3 +257,28 @@ def test_config_validation():
     with pytest.raises(BadParameterError):
         SmootherConfig(0.2, -1)
 
+
+@pytest.mark.parametrize("degree", range(5))
+def test_solves_match_a_triangular_solver_reference(degree):
+    # the (degree+1)-square triangular factor is solved with np.linalg.solve;
+    # a dedicated back substitution on the same QR factor must agree
+    rng = np.random.default_rng(100 + degree)
+    for kind in KERNEL_KINDS:
+        xs = random_design(rng, n=300)
+        zs = rng.standard_normal(xs.size)
+        config = SmootherConfig(0.3, degree, kernel(kind))
+        for x in (0.0, rng.uniform(0.2, 0.8), 1.0):
+            fit = fit_at(xs, zs, config, x)
+            idx = fit.weights.indices
+            t = (x - xs[idx]) / config.bandwidth
+            sqrt_w = np.sqrt(config.kernel(t))
+            q, r = np.linalg.qr(np.vander(t, degree + 1, increasing=True)
+                                * sqrt_w[:, None])
+            e0 = np.eye(degree + 1)[0]
+            weights = sqrt_w * (q @ linalg.solve_triangular(r, e0, trans="T"))
+            coefs = (linalg.solve_triangular(r, q.T @ (sqrt_w * zs[idx]))
+                     / config.bandwidth ** np.arange(degree + 1))
+            for got, want in ((fit.coefficients, coefs),
+                              (fit.weights.weights, weights),
+                              (effective_weights(xs, config, x).weights, weights)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
