@@ -152,7 +152,6 @@ def _check_replicated(args, min_replications: int) -> None:
     """Flags shared by the replicated experiments."""
     _require(args.replications >= min_replications,
              f"--replications must be >= {min_replications}")
-    _require(args.threads >= 1, "--threads must be >= 1")
     _require(args.degree is None or args.degree >= 0, "--degree must be >= 0")
 
 
@@ -252,18 +251,19 @@ def _build_scenario(args) -> simlab.Scenario:
         law = simlab.ErrorLaw(args.error_law, df=args.df)
         mean_fn = _parse_function(args.mean)
         var_fn = _parse_function(args.variance)
-        xs = np.arange(1, args.n + 1) / (args.n + 1.0)
-        v = np.asarray(var_fn(xs), dtype=float)
-        if np.any(v <= 0.0):
-            raise _UsageError("variance function must be positive on the design")
-        return simlab.Scenario(
+        scenario = simlab.Scenario(
             label=f"cli-{mean_fn.name}-{var_fn.name}-n{args.n}",
             mean_fn=mean_fn,
             var_fn=var_fn,
             n=args.n,
             error_law=law,
-            variance_floor=float(v.min()) / 2.0,
+            variance_floor=0.0,  # the positivity check below is stricter
         )
+        # raises on a non-finite mean or variance on the design
+        _, _, sd = simlab._design(scenario)
+        if np.any(sd <= 0.0):
+            raise _UsageError("variance function must be positive on the design")
+        return scenario
     except DiffvarError as exc:
         # scenario configuration comes entirely from flags
         raise _UsageError(str(exc)) from exc
@@ -293,7 +293,7 @@ def _cmd_simulate(args) -> int:
     report = simlab.risk_report(
         scenario, est, args.replications, args.seed,
         points=points, include_global=not args.no_global,
-        margin=args.margin, grid_size=args.grid_size, threads=args.threads,
+        margin=args.margin, grid_size=args.grid_size,
     )
     _emit(dump_json(report), args.output)
     return 0
@@ -317,7 +317,7 @@ def _cmd_rates(args) -> int:
     report = simlab.rate_experiment(
         scenarios, schedule, args.replications, args.seed,
         gamma=args.gamma, x0=args.pointwise,
-        margin=args.margin, grid_size=args.grid_size, threads=args.threads,
+        margin=args.margin, grid_size=args.grid_size,
     )
     _emit(dump_json(report), args.output)
     return 0
@@ -338,10 +338,8 @@ def _cmd_normality(args) -> int:
         sequence=seq,
         smoother=SmootherConfig(h, args.degree, kernel(args.kernel)),
     )
-    report = simlab.normality_experiment(
-        scenario, est, args.x0, args.replications, args.seed,
-        threads=args.threads,
-    )
+    report = simlab.normality_experiment(scenario, est, args.x0,
+                                         args.replications, args.seed)
     _emit(dump_json(report), args.output)
     if args.draws_out:
         lines = ["vhat"] + [repr(float(v)) for v in report.draws]
@@ -413,7 +411,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--no-global", action="store_true")
     p.add_argument("--margin", type=float, default=0.05)
     p.add_argument("--grid-size", type=int, default=101)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--output", default=None)
     _add_estimator_flags(p, "rate")
     p.set_defaults(func=_cmd_simulate)
@@ -432,7 +429,6 @@ def _build_parser() -> _Parser:
                    help="measure pointwise risk at this x0 instead of global")
     p.add_argument("--margin", type=float, default=0.05)
     p.add_argument("--grid-size", type=int, default=101)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_rates)
 
@@ -448,7 +444,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--df", type=float, default=None)
     _add_sequence_flags(p)
     p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--output", default=None)
     p.add_argument("--draws-out", default=None,
                    help="also write raw replication draws as CSV")

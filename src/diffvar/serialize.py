@@ -2,7 +2,7 @@
 
 Reports serialize through plain Python containers with sorted keys and
 repr-exact floats, so equal in-memory reports produce byte-identical
-JSON regardless of construction order or thread count.
+JSON regardless of construction order.
 """
 
 from __future__ import annotations

@@ -8,21 +8,21 @@ inspects the bias/variance structure in the bandwidth, runs normality
 diagnostics of the estimator's replication distribution, and compares
 rough-mean against flat-mean risk.
 
-The design is fixed within an experiment, so an :class:`EstimatorConfig`
-(defined in :mod:`diffvar.estimator`), which reuses its weights on an
-unchanged design and grid, builds them once per experiment and each
-replication only draws a sample and applies them to its contrasts.
+The design is fixed within an experiment, so every experiment runs
+through one replication engine that evaluates the scenario's mean and
+variance on the design once; each replication only draws its noise.
+An :class:`EstimatorConfig` (see :mod:`diffvar.estimator`) likewise
+builds its weights once per experiment and each replication applies them.
 
 Reproducibility contract: every experiment takes one master seed;
-replication streams are spawned from it, so results are bit-identical
-for a given (seed, replications).  Replications run serially; ``threads``
-is validated and kept for compatibility only.
+replication streams are spawned from it and run serially, so results
+are bit-identical for a given (seed, replications).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -144,9 +144,10 @@ class ErrorLaw:
         if self.kind not in ("gaussian", "scaled_uniform", "student_t"):
             raise BadScenarioError(f"unknown error law {self.kind!r}")
         if self.kind == "student_t":
-            if self.df is None or self.df <= 8:
+            if self.df is None or not 8 < self.df < math.inf:
                 raise BadScenarioError(
-                    "student_t needs df > 8 for the required moments"
+                    f"student_t needs a finite df > 8 for the required "
+                    f"moments, got {self.df}"
                 )
 
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
@@ -168,7 +169,7 @@ class Scenario:
     ``design`` is either None (equispaced x_i = i/(n+1)) or an explicit
     strictly increasing vector inside (0, 1) of length n.
     ``variance_floor`` is the declared lower bound of the variance
-    function on the design, which :func:`generate_sample` enforces.
+    function on the design, which every sample drawn from it enforces.
     """
 
     label: str
@@ -275,14 +276,22 @@ def quadratic_variance_scenario(
     )
 
 
-def generate_sample(scenario: Scenario, seed, check_delta: bool = True) -> Sample:
-    """Draw one dataset from the scenario, deterministically in the seed.
+def _design(scenario: Scenario, check_delta: bool = True):
+    """Evaluate the scenario on its fixed design: (xs, mean, sd).
 
-    ``check_delta`` enforces the scenario's ``variance_floor``; disable it
-    to simulate degenerate cases such as exactly noise-free data.
+    Raises :class:`BadScenarioError` when the mean or the variance is not
+    finite on the design, when the variance is negative, or, with
+    ``check_delta``, when it falls below the scenario's ``variance_floor``.
     """
     xs = scenario.design_points()
+    mean = np.asarray(scenario.mean_fn(xs), dtype=float)
     variances = np.asarray(scenario.var_fn(xs), dtype=float)
+    for role, fn, values in (("mean", scenario.mean_fn, mean),
+                             ("variance", scenario.var_fn, variances)):
+        if not np.all(np.isfinite(values)):
+            raise BadScenarioError(
+                f"{role} function {fn.name!r} is not finite on the design"
+            )
     if np.any(variances < 0.0):
         raise BadScenarioError("variance function is negative on the design")
     if check_delta and np.any(variances < scenario.variance_floor):
@@ -290,10 +299,24 @@ def generate_sample(scenario: Scenario, seed, check_delta: bool = True) -> Sampl
             "variance function falls below the declared lower bound "
             f"{scenario.variance_floor}"
         )
-    rng = np.random.default_rng(seed)
-    eps = scenario.error_law.draw(rng, xs.size)
-    ys = np.asarray(scenario.mean_fn(xs), dtype=float) + np.sqrt(variances) * eps
-    return Sample(xs, ys)
+    return xs, mean, np.sqrt(variances)
+
+
+def _draw(scenario: Scenario, design, seed) -> Sample:
+    """One sample on an evaluated design: only the noise depends on the seed."""
+    xs, mean, sd = design
+    eps = scenario.error_law.draw(np.random.default_rng(seed), xs.size)
+    return Sample(xs, mean + sd * eps)
+
+
+def generate_sample(scenario: Scenario, seed, check_delta: bool = True) -> Sample:
+    """Draw one dataset from the scenario, deterministically in the seed.
+
+    ``check_delta`` enforces the scenario's ``variance_floor``; disable it
+    to simulate degenerate cases such as exactly noise-free data.  The
+    experiments draw the same samples without re-evaluating the design.
+    """
+    return _draw(scenario, _design(scenario, check_delta), seed)
 
 
 # --- estimators as callables ---------------------------------------------
@@ -312,24 +335,28 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _replicate(replications: int, seed, rep_fn, threads: int = 1):
-    """Run rep_fn once per replication, serially, on spawned streams.
+def _replicate(scenarios, replications: int, seed, rep_fn):
+    """The replication engine: rep_fn(*samples) once per replication.
 
-    Returns (results, failures): results is a list in replication order
-    with None at failed indices; failures is a list of (index, message).
-    Estimator failures (DiffvarError) are recorded, anything else
-    propagates.  An :class:`EstimatorConfig` factorizes in the first
-    replication only.  ``threads`` is validated only: a thread pool was
-    slower than this loop on GIL-bound numpy calls.
+    Each scenario's design is evaluated once, before the first
+    replication, so a design check fails here; replication i draws every
+    scenario's sample from the i-th stream spawned from ``seed`` (common
+    random numbers across scenarios).
+
+    Returns (results, failures): the results of the replications that
+    succeeded, in order, and a list of (index, message) for the others.
+    Sample and estimator failures (DiffvarError) are recorded, anything
+    else propagates.
     """
-    if threads < 1:
-        raise BadParameterError(f"threads must be >= 1, got {threads}")
+    if replications < 2:
+        raise BadParameterError("need at least 2 replications")
+    designs = [_design(s) for s in scenarios]
     results, failures = [], []
     for i, child in enumerate(_seed_sequence(seed).spawn(replications)):
         try:
-            results.append(rep_fn(child))
+            results.append(rep_fn(*(_draw(s, d, child)
+                                     for s, d in zip(scenarios, designs))))
         except DiffvarError as exc:
-            results.append(None)
             failures.append((i, f"{type(exc).__name__}: {exc}"))
     return results, failures
 
@@ -347,14 +374,14 @@ class RiskValue:
 
 
 def _summarize(values: list, failures) -> RiskValue:
-    ok = np.array([v for v in values if v is not None], dtype=float)
+    ok = np.array(values, dtype=float)
     if ok.size == 0:
         raise BadScenarioError("every replication failed")
     stderr = float(ok.std(ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else float("nan")
     return RiskValue(
         value=float(ok.mean()),
         stderr=stderr,
-        replications=len(values),
+        replications=len(values) + len(failures),
         failures=len(failures),
     )
 
@@ -376,25 +403,20 @@ def _point_grid(x0) -> np.ndarray:
 
 def pointwise_risk(
     scenario: Scenario, estimator, x0: float, replications: int, seed,
-    threads: int = 1,
 ) -> RiskValue:
     """Mean squared error of the estimator at one point, over replications."""
-    if replications < 2:
-        raise BadParameterError("need at least 2 replications")
     grid = _point_grid(x0)
     v_true = float(np.asarray(scenario.var_fn(grid))[0])
 
-    def rep(child):
-        sample = generate_sample(scenario, child)
+    def rep(sample):
         return (float(estimator(sample, grid)[0]) - v_true) ** 2
 
-    return _summarize(*_replicate(replications, seed, rep, threads))
+    return _summarize(*_replicate([scenario], replications, seed, rep))
 
 
 def global_risk(
     scenario: Scenario, estimator, replications: int, seed,
     grid=None, margin: float = 0.05, grid_size: int = 101,
-    threads: int = 1,
 ) -> RiskValue:
     """Trapezoidal integrated squared error, averaged over replications.
 
@@ -402,8 +424,6 @@ def global_risk(
     explicit grid) for the full interval.  The grid needs at least 2
     points: the trapezoid rule over one point is identically zero.
     """
-    if replications < 2:
-        raise BadParameterError("need at least 2 replications")
     if grid is None:
         if not 0.0 <= margin < 0.5:
             raise BadParameterError("margin must be in [0, 0.5)")
@@ -411,12 +431,11 @@ def global_risk(
     grid = _integration_grid(grid)
     v_true = np.asarray(scenario.var_fn(grid), dtype=float)
 
-    def rep(child):
-        sample = generate_sample(scenario, child)
+    def rep(sample):
         err = estimator(sample, grid) - v_true
         return float(np.trapezoid(err * err, grid))
 
-    return _summarize(*_replicate(replications, seed, rep, threads))
+    return _summarize(*_replicate([scenario], replications, seed, rep))
 
 
 @dataclass(frozen=True)
@@ -459,7 +478,7 @@ class RiskReport:
 def risk_report(
     scenario: Scenario, estimator, replications: int, seed,
     points=(), include_global: bool = True,
-    margin: float = 0.05, grid_size: int = 101, threads: int = 1,
+    margin: float = 0.05, grid_size: int = 101,
 ) -> RiskReport:
     """Bundle pointwise risks at ``points`` and optionally the global risk."""
     if not points and not include_global:
@@ -467,15 +486,12 @@ def risk_report(
     ss = _seed_sequence(seed).spawn(len(tuple(points)) + 1)
     pw = {}
     for k, x0 in enumerate(points):
-        pw[float(x0)] = pointwise_risk(
-            scenario, estimator, float(x0), replications, ss[k], threads
-        )
+        pw[float(x0)] = pointwise_risk(scenario, estimator, float(x0),
+                                       replications, ss[k])
     gr = None
     if include_global:
-        gr = global_risk(
-            scenario, estimator, replications, ss[-1],
-            margin=margin, grid_size=grid_size, threads=threads,
-        )
+        gr = global_risk(scenario, estimator, replications, ss[-1],
+                         margin=margin, grid_size=grid_size)
     return RiskReport(
         scenario=scenario.to_dict(),
         estimator=_describe(estimator),
@@ -571,7 +587,6 @@ def rate_experiment(
     x0: float | None = None,
     margin: float = 0.05,
     grid_size: int = 101,
-    threads: int = 1,
 ) -> RateReport:
     """Measure risk across sample sizes and fit the convergence slope.
 
@@ -601,9 +616,9 @@ def rate_experiment(
         est = estimator_schedule(s.n)
         if x0 is None:
             rv = global_risk(s, est, replications, child,
-                             margin=margin, grid_size=grid_size, threads=threads)
+                             margin=margin, grid_size=grid_size)
         else:
-            rv = pointwise_risk(s, est, x0, replications, child, threads=threads)
+            rv = pointwise_risk(s, est, x0, replications, child)
         if rv.failures > 0.05 * replications:
             raise BadScenarioError(
                 f"{rv.failures}/{replications} replications failed at n={s.n}"
@@ -696,19 +711,17 @@ def normality_diagnostics(draws, failures: int = 0) -> NormalityReport:
 
 def normality_experiment(
     scenario: Scenario, estimator, x0: float, replications: int, seed,
-    threads: int = 1,
 ) -> NormalityReport:
     """Collect replication draws of the estimate at x0 and diagnose shape."""
     if replications < 500:
         raise BadParameterError("need at least 500 replications")
     grid = _point_grid(x0)
 
-    def rep(child):
-        sample = generate_sample(scenario, child)
+    def rep(sample):
         return float(estimator(sample, grid)[0])
 
-    values, failures = _replicate(replications, seed, rep, threads)
-    draws = np.array([v for v in values if v is not None], dtype=float)
+    values, failures = _replicate([scenario], replications, seed, rep)
+    draws = np.array(values, dtype=float)
     return normality_diagnostics(draws, failures=len(failures))
 
 
@@ -753,11 +766,14 @@ def bias_variance_experiment(
     The design is fixed across replications, so each bandwidth's
     :func:`~diffvar.estimator.variance_operator` is built once and every
     replication reduces to one squared-contrast inner product per
-    bandwidth.  Errors building the weights propagate.
+    bandwidth.  Errors building the weights propagate.  The log-log slopes
+    need at least 2 distinct bandwidths.
     """
-    if replications < 2:
-        raise BadParameterError("need at least 2 replications")
     bandwidths = np.asarray(bandwidths, dtype=float)
+    if np.unique(bandwidths).size < 2:
+        raise BadParameterError(
+            f"need at least 2 distinct bandwidths, got {bandwidths.tolist()}"
+        )
     grid = _point_grid(x0)
     operators = [
         variance_operator(scenario.design_points(), seq,
@@ -766,11 +782,11 @@ def bias_variance_experiment(
     ]
     v_true = float(np.asarray(scenario.var_fn(grid))[0])
 
-    def rep(child):
-        z = pseudoresiduals(generate_sample(scenario, child), seq).values ** 2
+    def rep(sample):
+        z = pseudoresiduals(sample, seq).values ** 2
         return np.array([op.apply(z)[0] for op in operators])
 
-    values, failures = _replicate(replications, seed, rep)
+    values, failures = _replicate([scenario], replications, seed, rep)
     if failures:
         raise BadScenarioError(f"{len(failures)} replications failed")
     draws = np.vstack(values)
@@ -830,15 +846,14 @@ def mean_effect_experiment(
     scale: float = 1.0,
     margin: float = 0.05,
     grid_size: int = 101,
-    threads: int = 1,
 ) -> MeanEffectReport:
     """Compare risk under mean |x-1/2|^beta against mean zero.
 
     ``beta`` must lie strictly inside (gamma/(4 gamma + 2),
     gamma/(2 gamma + 2)), the regime where the cusp is rough enough to
     matter in principle yet provably negligible for this estimator.
-    Both arms share replication seeds so the ratio is measured with
-    common random numbers.
+    The replication engine draws both arms from the same streams, so the
+    ratio is measured with common random numbers.
     """
     lo = gamma / (4.0 * gamma + 2.0)
     hi = gamma / (2.0 * gamma + 2.0)
@@ -846,8 +861,6 @@ def mean_effect_experiment(
         raise BadParameterError(
             f"beta must lie strictly inside ({lo:.4g}, {hi:.4g}), got {beta}"
         )
-    if replications < 2:
-        raise BadParameterError("need at least 2 replications")
     if seq is None:
         from .diffseq import standard_sequence
         seq = standard_sequence("first_difference")
@@ -858,27 +871,17 @@ def mean_effect_experiment(
     rough_risks, flat_risks, ratios, ratio_ses = [], [], [], []
     for n, child in zip(ns, children):
         rough = rough_mean_scenario(n, beta)
-        flat = Scenario(
-            label=f"flat-mean-n{n}",
-            mean_fn=function_spec("constant", value=0.0),
-            var_fn=rough.var_fn,
-            n=n,
-            error_law=rough.error_law,
-        )
+        flat = replace(rough, label=f"flat-mean-n{n}",
+                       mean_fn=function_spec("constant", value=0.0))
         est = schedule(n)
         v_true = np.asarray(rough.var_fn(grid), dtype=float)
 
-        def rep(rep_seed, rough=rough, flat=flat, est=est, v_true=v_true):
-            # identical seed on both arms: same noise, only the mean differs
-            pair = []
-            for scen in (rough, flat):
-                sample = generate_sample(scen, rep_seed)
-                err = est(sample, grid) - v_true
-                pair.append(np.trapezoid(err * err, grid))
-            return np.array(pair)
+        def rep(*samples):
+            errs = [est(sample, grid) - v_true for sample in samples]
+            return np.array([np.trapezoid(err * err, grid) for err in errs])
 
-        values, failures = _replicate(replications, child, rep, threads)
-        pairs = np.vstack([v for v in values if v is not None])
+        values, failures = _replicate([rough, flat], replications, child, rep)
+        pairs = np.vstack(values)
         k = pairs.shape[0]
         means = pairs.mean(axis=0)
         ses = pairs.std(axis=0, ddof=1) / math.sqrt(k)

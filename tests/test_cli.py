@@ -185,18 +185,27 @@ class TestSimulate:
                      "--seed", "5", "--bandwidth", "0.25", "--x0", "0.5",
                      "--no-global", "--grid-size", "1"]) == 0
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
+    def test_reruns_give_identical_bytes(self, tmp_path):
         outs = []
-        for threads, name in (("1", "a.json"), ("3", "b.json")):
+        for name in ("a.json", "b.json"):
             out = tmp_path / name
             code = main([
                 "simulate", "--n", "300", "--replications", "24", "--seed", "9",
-                "--bandwidth", "0.25", "--threads", threads,
-                "--output", str(out),
+                "--bandwidth", "0.25", "--output", str(out),
             ])
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("role, spec", [
+        ("mean", "constant:value=nan"),
+        ("variance", "constant:value=inf"),
+        ("variance", "constant:value=nan"),
+    ])
+    def test_non_finite_function_is_usage_error(self, capsys, role, spec):
+        assert main(_SIM + [f"--{role}", spec]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"{role} function 'constant' is not finite on the design"]
 
     def test_student_t_requires_valid_df(self):
         assert main(["simulate", "--n", "300", "--replications", "10",
@@ -312,18 +321,18 @@ class TestFlagValues:
         ["estimate", "--bandwidth", "0.2", "--sequence", "optimal", "--order", "0"],
         ["estimate", "--bandwidth", "cv", "--seed", "1", "--folds", "1"],
         _SIM + ["--replications", "1"],
-        _SIM + ["--threads", "0"],
+        _SIM + ["--error-law", "student_t", "--df", "nan"],
         _SIM + ["--margin", "0.7"],
         _SIM + ["--margin", "-0.1"],
         _SIM + ["--degree", "-1"],
         _SIM + ["--sequence", "optimal", "--order", "0"],
         _RATES + ["--replications", "1"],
-        _RATES + ["--threads", "0"],
+        _RATES + ["--degree", "-1"],
         _RATES + ["--margin", "0.5"],
         _RATES + ["--gamma", "-1"],
         _RATES + ["--sequence", "optimal", "--order", "-2"],
         _NORM + ["--replications", "499"],
-        _NORM + ["--threads", "0"],
+        _NORM + ["--error-law", "student_t", "--df", "nan"],
         _NORM + ["--sequence", "optimal", "--order", "0"],
         ["diffseq", "--optimal", "0"],
         ["diffseq", "--optimal", "2", "--tolerance", "0"],
@@ -341,6 +350,9 @@ class TestFlagValues:
         _NORM + ["--undersmooth-scale", "nan"],
         _NORM + ["--undersmooth-scale", "-1"],
         ["estimate", "--bandwidth", "rate", "--gamma", "nan"],
+        _SIM + ["--error-law", "student_t", "--df", "inf"],
+        _NORM + ["--error-law", "student_t", "--df", "inf"],
+        _SIM + ["--n", "0"],
     ])
     def test_out_of_range_values_are_usage_errors(self, tmp_path, capsys, argv):
         if argv[0] == "estimate":

@@ -8,6 +8,7 @@ from diffvar import diffseq, simlab, smoother
 from diffvar.errors import (
     BadParameterError,
     BadScenarioError,
+    DiffvarError,
     InsufficientSupportError,
 )
 from diffvar.estimator import Sample, estimate_variance, pseudoresiduals
@@ -70,6 +71,9 @@ class TestErrorLaw:
             ErrorLaw("student_t")
         with pytest.raises(BadScenarioError):
             ErrorLaw("student_t", df=8.0)
+        for df in (float("nan"), float("inf")):
+            with pytest.raises(BadScenarioError, match="finite df > 8"):
+                ErrorLaw("student_t", df=df)
         ErrorLaw("student_t", df=9.0)
 
     def test_unknown(self):
@@ -132,6 +136,18 @@ class TestGenerateSample:
             function_spec("sine", offset=0.0, amplitude=1.0), n=50,
         )
         with pytest.raises(BadScenarioError):
+            generate_sample(scen, 0, check_delta=False)
+
+    @pytest.mark.parametrize("mean, var, role", [
+        (float("nan"), 1.0, "mean"),
+        (0.0, float("inf"), "variance"),
+        (0.0, float("nan"), "variance"),
+    ])
+    def test_non_finite_functions_rejected(self, mean, var, role):
+        scen = Scenario("nonfinite", function_spec("constant", value=mean),
+                        function_spec("constant", value=var), n=50)
+        with pytest.raises(BadScenarioError,
+                           match=f"{role} function 'constant' is not finite"):
             generate_sample(scen, 0, check_delta=False)
 
     def test_moments_match_scenario(self):
@@ -351,6 +367,76 @@ class TestFactorizationCounts:
         assert len(factorizations) == 2 * 11
 
 
+def per_replication_loop(scenarios, replications, seed, rep_fn):
+    """The loop the replication engine replaced: generate_sample per child."""
+    results, failures = [], []
+    for i, child in enumerate(simlab._seed_sequence(seed).spawn(replications)):
+        try:
+            results.append(rep_fn(*(generate_sample(s, child) for s in scenarios)))
+        except DiffvarError as exc:
+            failures.append((i, f"{type(exc).__name__}: {exc}"))
+    return results, failures
+
+
+class TestReplicationEngine:
+    EXPERIMENTS = {
+        "pointwise_risk": lambda est: pointwise_risk(
+            smooth_scenario(200), est, 0.4, 12, 3),
+        "global_risk": lambda est: global_risk(
+            smooth_scenario(200), est, 12, 3, grid_size=21),
+        "normality_experiment": lambda est: normality_experiment(
+            smooth_scenario(100), est, 0.5, 500, 4),
+        "bias_variance_experiment": lambda est: bias_variance_experiment(
+            quadratic_variance_scenario(300), FD, [0.15, 0.3], 0.5, 20, 5),
+        "mean_effect_experiment": lambda est: mean_effect_experiment(
+            2.0, 0.3, (128, 256), 10, 6, grid_size=21),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_matches_the_per_replication_loop(self, monkeypatch, name):
+        run = self.EXPERIMENTS[name]
+        engine = dump_json(run(EstimatorConfig(FD, SmootherConfig(0.25, 1))))
+        monkeypatch.setattr(simlab, "_replicate", per_replication_loop)
+        reference = dump_json(run(EstimatorConfig(FD, SmootherConfig(0.25, 1))))
+        assert engine == reference
+
+    def test_design_is_evaluated_once_per_experiment(self, monkeypatch):
+        scen = quadratic_variance_scenario(200)  # variance: quadratic
+        est = EstimatorConfig(FD, SmootherConfig(0.3, 1))
+        calls = []
+        quadratic = simlab._FUNCTIONS["quadratic"]
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return quadratic(*args, **kwargs)
+
+        monkeypatch.setitem(simlab._FUNCTIONS, "quadratic", counting)
+        counts = []
+        for replications in (500, 1000):
+            calls.clear()
+            normality_experiment(scen, est, 0.5, replications, 1)
+            counts.append(len(calls))
+        assert counts == [1, 1]
+
+    def test_design_failure_raises_before_any_replication(self):
+        scen = Scenario("zero-var", function_spec("constant", value=0.0),
+                        function_spec("constant", value=0.0), n=50)
+
+        def est(sample, grid):
+            raise AssertionError("a replication ran")
+
+        experiments = [
+            lambda: pointwise_risk(scen, est, 0.5, 5, 0),
+            lambda: global_risk(scen, est, 5, 0),
+            lambda: normality_experiment(scen, est, 0.5, 500, 0),
+            lambda: bias_variance_experiment(scen, FD, [0.2, 0.4], 0.5, 5, 0),
+        ]
+        for run in experiments:
+            # its own message, not "every replication failed"
+            with pytest.raises(BadScenarioError, match="declared lower bound"):
+                run()
+
+
 class TestRiskReport:
     def test_roundtrip_and_validation(self):
         scen = smooth_scenario(300)
@@ -508,6 +594,12 @@ class TestBiasVariance:
                            rtol=1e-9)
         assert np.allclose(draws.var(axis=0, ddof=1), report.variance, rtol=1e-9)
 
+    @pytest.mark.parametrize("hs", [[0.2], [0.2, 0.2]])
+    def test_needs_two_distinct_bandwidths(self, hs):
+        scen = quadratic_variance_scenario(200)
+        with pytest.raises(BadParameterError, match="2 distinct bandwidths"):
+            bias_variance_experiment(scen, FD, hs, 0.5, 20, 0)
+
     def test_report_shapes(self):
         scen = quadratic_variance_scenario(400)
         hs = np.geomspace(0.1, 0.4, 4)
@@ -550,18 +642,18 @@ class TestMeanEffect:
 
 
 class TestDeterminism:
-    def test_thread_count_does_not_change_results(self):
+    def test_reruns_give_identical_results(self):
         scen = smooth_scenario(300)
         est = EstimatorConfig(FD, SmootherConfig(0.25, 1))
-        seq1 = global_risk(scen, est, 40, 123, grid_size=31, threads=1)
-        seq4 = global_risk(scen, est, 40, 123, grid_size=31, threads=4)
-        assert seq1.value == seq4.value
-        assert seq1.stderr == seq4.stderr
+        first = global_risk(scen, est, 40, 123, grid_size=31)
+        again = global_risk(scen, est, 40, 123, grid_size=31)
+        assert first.value == again.value
+        assert first.stderr == again.stderr
 
-    def test_reports_byte_identical_across_threads(self):
+    def test_reports_byte_identical_across_reruns(self):
         ns = (128, 256, 512, 1024)
         scens = [smooth_scenario(n) for n in ns]
         schedule = rate_schedule(FD, gamma=2.0, scale=0.8, degree=1)
-        a = rate_experiment(scens, schedule, 12, 99, gamma=2.0, x0=0.5, threads=1)
-        b = rate_experiment(scens, schedule, 12, 99, gamma=2.0, x0=0.5, threads=3)
+        a = rate_experiment(scens, schedule, 12, 99, gamma=2.0, x0=0.5)
+        b = rate_experiment(scens, schedule, 12, 99, gamma=2.0, x0=0.5)
         assert dump_json(a) == dump_json(b)
