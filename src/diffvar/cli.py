@@ -309,9 +309,8 @@ def _cmd_rates(args) -> int:
         _require_unit_point(args.pointwise, "--pointwise")
     _check_risk_flags(args, args.pointwise is None)
     seq = _resolve_sequence(args)
-    degree = args.degree if args.degree is not None else int(np.floor(args.gamma)) + 1
     schedule = simlab.rate_schedule(
-        seq, args.gamma, args.scale, degree=degree, kernel_spec=kernel(args.kernel)
+        seq, args.gamma, args.scale, degree=args.degree, kernel_spec=kernel(args.kernel)
     )
     scenarios = [simlab.smooth_scenario(n) for n in ns]
     report = simlab.rate_experiment(

@@ -393,6 +393,16 @@ def _integration_grid(grid) -> np.ndarray:
     return grid
 
 
+def _margin_grid(margin: float, grid_size: int) -> np.ndarray:
+    """The default integration grid: grid_size points on [margin, 1 - margin]."""
+    if not 0.0 <= margin < 0.5:
+        raise BadParameterError("margin must be in [0, 0.5)")
+    if grid_size < 2:
+        raise BadParameterError(
+            f"integrated risk needs >= 2 grid points, got {grid_size}")
+    return np.linspace(margin, 1.0 - margin, grid_size)
+
+
 def _point_grid(x0) -> np.ndarray:
     """The one-point grid at x0, which must be a finite point of [0, 1]."""
     x0 = float(x0)
@@ -424,11 +434,7 @@ def global_risk(
     explicit grid) for the full interval.  The grid needs at least 2
     points: the trapezoid rule over one point is identically zero.
     """
-    if grid is None:
-        if not 0.0 <= margin < 0.5:
-            raise BadParameterError("margin must be in [0, 0.5)")
-        grid = np.linspace(margin, 1.0 - margin, grid_size)
-    grid = _integration_grid(grid)
+    grid = _margin_grid(margin, grid_size) if grid is None else _integration_grid(grid)
     v_true = np.asarray(scenario.var_fn(grid), dtype=float)
 
     def rep(sample):
@@ -483,6 +489,8 @@ def risk_report(
     """Bundle pointwise risks at ``points`` and optionally the global risk."""
     if not points and not include_global:
         raise BadParameterError("nothing to do: no points and no global risk")
+    # a bad margin or grid size fails before any replication runs
+    grid = _margin_grid(margin, grid_size) if include_global else None
     ss = _seed_sequence(seed).spawn(len(tuple(points)) + 1)
     pw = {}
     for k, x0 in enumerate(points):
@@ -490,8 +498,7 @@ def risk_report(
                                        replications, ss[k])
     gr = None
     if include_global:
-        gr = global_risk(scenario, estimator, replications, ss[-1],
-                         margin=margin, grid_size=grid_size)
+        gr = global_risk(scenario, estimator, replications, ss[-1], grid=grid)
     return RiskReport(
         scenario=scenario.to_dict(),
         estimator=_describe(estimator),
@@ -867,7 +874,7 @@ def mean_effect_experiment(
     schedule = rate_schedule(seq, gamma, scale)
     ns = sorted(int(n) for n in ns)
     children = _seed_sequence(seed).spawn(len(ns))
-    grid = _integration_grid(np.linspace(margin, 1.0 - margin, grid_size))
+    grid = _margin_grid(margin, grid_size)
     rough_risks, flat_risks, ratios, ratio_ses = [], [], [], []
     for n, child in zip(ns, children):
         rough = rough_mean_scenario(n, beta)
@@ -881,6 +888,8 @@ def mean_effect_experiment(
             return np.array([np.trapezoid(err * err, grid) for err in errs])
 
         values, failures = _replicate([rough, flat], replications, child, rep)
+        if not values:
+            raise BadScenarioError("every replication failed")
         pairs = np.vstack(values)
         k = pairs.shape[0]
         means = pairs.mean(axis=0)

@@ -11,13 +11,14 @@ design alone, :func:`weight_operator` collects them for a whole grid
 once, and applying it to any responses on that design is one weighted
 sum per grid point.
 
-The weighted design is solved through a QR factorization of the
-sqrt-weight-scaled, bandwidth-rescaled local design; normal equations
-are never formed.  A reciprocal-condition estimate below 1e-12 raises
-RankDeficientError instead of silently degrading the fit.  The
-triangular factor is only (degree+1) x (degree+1), so its solves go
-through ``np.linalg.solve``, which at that size costs less per call
-than a dedicated triangular solver and keeps numpy the only dependency.
+Each point evaluates the kernel once and takes one thin SVD,
+D = U diag(s) V^T, of the sqrt-weight-scaled, bandwidth-rescaled local
+design; the least-squares hat matrix is V diag(1/s) U^T diag(sqrt w).
+The normal equations D^T D, which would square the condition number,
+are never formed.  A QR factorization D = QR has orthonormal Q, so R
+has the same singular values as D and s_min/s_max is the reciprocal
+condition of R.  Below 1e-12 it raises RankDeficientError, before any
+division by s, instead of silently degrading the fit.
 """
 
 from __future__ import annotations
@@ -140,57 +141,54 @@ class CltDiagnostics:
     sum_sq_scaled: float
 
 
-def _active(xs: np.ndarray, config: SmootherConfig, x: float, h: float):
-    return np.nonzero(config.kernel((x - xs) / h) > 0.0)[0]
+def _factorize(xs: np.ndarray, config: SmootherConfig, x: float, expand: bool):
+    """Support and one thin SVD of the scaled local design at x.
 
-
-def _window(xs: np.ndarray, config: SmootherConfig, x: float, expand: bool):
-    """Select positively weighted points, growing h if allowed and needed.
-
-    Returns (indices, bandwidth used, expanded flag).  Ties in xs count
+    Returns (effective weights, rcond, bandwidth used, local hat matrix),
+    where row q of the hat matrix maps the window's responses to the
+    coefficient of ((x - x_i)/h)^q.  The window is the positively
+    weighted points, grown by ``expand`` when needed; ties in xs count
     once toward the degree+1 distinct-abscissae requirement.
     """
     need = config.degree + 1
     h = config.bandwidth
     expanded = False
-    active = _active(xs, config, x, h)
-    if np.unique(xs[active]).size < need and expand:
+    u = (x - xs) / h
+    k = config.kernel(u)
+    active = np.nonzero(k > 0.0)[0]
+    distinct = np.unique(xs[active]).size
+    if distinct < need and expand:
         dists = np.sort(np.abs(np.unique(xs) - x))
         if dists.size >= need:
             # nudge past the (degree+1)-th nearest distinct abscissa so
             # the compact kernel gives it strictly positive weight
             h = min(max(h, dists[need - 1] * (1.0 + 1e-9)), 1.0)
-            active = _active(xs, config, x, h)
+            u = (x - xs) / h
+            k = config.kernel(u)
+            active = np.nonzero(k > 0.0)[0]
+            distinct = np.unique(xs[active]).size
             expanded = True
-    if np.unique(xs[active]).size < need:
+    if distinct < need:
         raise InsufficientSupportError(
             f"{active.size} positively weighted points "
-            f"({np.unique(xs[active]).size} distinct) at x={x} with h={h}; "
-            f"need {need}"
+            f"({distinct} distinct) at x={x} with h={h}; need {need}"
         )
-    return active, h, expanded
-
-
-def _factorize(xs: np.ndarray, config: SmootherConfig, x: float, expand: bool):
-    """QR-factorize the scaled local design; return the solve context."""
-    active, h, expanded = _window(xs, config, x, expand)
-    t = (x - xs[active]) / h
-    sqrt_w = np.sqrt(config.kernel(t))
-    design = np.vander(t, config.degree + 1, increasing=True) * sqrt_w[:, None]
-    q, r = np.linalg.qr(design)
-    sv = np.linalg.svd(r, compute_uv=False)
-    rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
+    sqrt_w = np.sqrt(k[active])
+    design = np.vander(u[active], need, increasing=True) * sqrt_w[:, None]
+    left, sv, right_t = np.linalg.svd(design, full_matrices=False)
+    # column 0 of the design is sqrt_w > 0, so sv[0] > 0
+    rcond = float(sv[-1] / sv[0])
     if rcond < RCOND_MIN:
         raise RankDeficientError(
             f"local design at x={x} has reciprocal condition {rcond:.2e}"
         )
-    e0 = np.zeros(config.degree + 1)
-    e0[0] = 1.0
-    w_eff = sqrt_w * (q @ np.linalg.solve(r.T, e0))
+    hat = (right_t.T / sv) @ (left.T * sqrt_w)
+    # a copy, so that a stored operator keeps one row, not the whole hat
     weights = EffectiveWeights(
-        eval_point=float(x), indices=active, weights=w_eff, expanded=expanded
+        eval_point=float(x), indices=active, weights=hat[0].copy(),
+        expanded=expanded,
     )
-    return weights, rcond, h, q, r, sqrt_w
+    return weights, rcond, h, hat
 
 
 def effective_weights(
@@ -202,8 +200,7 @@ def effective_weights(
     fixed-design simulation reuse one factorization across replications.
     """
     xs = np.asarray(xs, dtype=float)
-    weights, _, _, _, _, _ = _factorize(xs, config, float(x), expand_to_minimum)
-    return weights
+    return _factorize(xs, config, float(x), expand_to_minimum)[0]
 
 
 def fit_at(
@@ -231,13 +228,9 @@ def fit_at(
     zs = np.asarray(zs, dtype=float)
     if xs.shape != zs.shape:
         raise ValueError("xs and zs must have the same shape")
-    weights, rcond, h, q, r, sqrt_w = _factorize(
-        xs, config, float(x), expand_to_minimum
-    )
-    rhs = q.T @ (sqrt_w * zs[weights.indices])
-    coefs_scaled = np.linalg.solve(r, rhs)
+    weights, rcond, h, hat = _factorize(xs, config, float(x), expand_to_minimum)
     # undo the (x - x_i)/h rescaling: coefficient q multiplies (x - x_i)^q
-    coefs = coefs_scaled / h ** np.arange(config.degree + 1)
+    coefs = hat @ zs[weights.indices] / h ** np.arange(config.degree + 1)
     return LocalFit(
         coefficients=coefs,
         weights=weights,
@@ -247,7 +240,12 @@ def fit_at(
     )
 
 
-def _checked_grid(grid) -> np.ndarray:
+def _over_grid(grid, fit) -> tuple[np.ndarray, list]:
+    """Check a sorted grid in [0, 1] and call ``fit`` at each of its points.
+
+    Fit errors propagate with the offending grid point attached as the
+    exception's ``grid_point`` attribute.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise BadParameterError("grid must be a nonempty 1-d sequence")
@@ -255,7 +253,14 @@ def _checked_grid(grid) -> np.ndarray:
         raise BadParameterError("grid must be sorted ascending")
     if grid[0] < 0.0 or grid[-1] > 1.0:
         raise BadParameterError("grid values must lie in [0, 1]")
-    return grid
+    results = []
+    for x in grid:
+        try:
+            results.append(fit(x))
+        except SmootherError as exc:
+            exc.grid_point = float(x)
+            raise
+    return grid, results
 
 
 def fit_on_grid(
@@ -266,17 +271,8 @@ def fit_on_grid(
     Fit errors propagate with the offending grid point attached as the
     exception's ``grid_point`` attribute.
     """
-    grid = _checked_grid(grid)
-    xs = np.asarray(xs, dtype=float)
-    zs = np.asarray(zs, dtype=float)
-    fits = []
-    for x in grid:
-        try:
-            fits.append(fit_at(xs, zs, config, x, expand_to_minimum))
-        except SmootherError as exc:
-            exc.grid_point = float(x)
-            raise
-    return fits
+    return _over_grid(
+        grid, lambda x: fit_at(xs, zs, config, x, expand_to_minimum))[1]
 
 
 def weight_operator(
@@ -289,15 +285,8 @@ def weight_operator(
     responses on ``xs`` then equals the fitted values up to rounding.
     Errors carry the offending grid point as in :func:`fit_on_grid`.
     """
-    grid = _checked_grid(grid)
-    xs = np.asarray(xs, dtype=float)
-    weights = []
-    for x in grid:
-        try:
-            weights.append(effective_weights(xs, config, x, expand_to_minimum))
-        except SmootherError as exc:
-            exc.grid_point = float(x)
-            raise
+    grid, weights = _over_grid(
+        grid, lambda x: effective_weights(xs, config, x, expand_to_minimum))
     return WeightOperator(grid=grid, weights=tuple(weights))
 
 

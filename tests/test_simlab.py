@@ -630,6 +630,11 @@ class TestMeanEffect:
         b = global_risk(shifted, est, 30, 9, grid_size=31)
         assert b.value == pytest.approx(a.value, rel=1e-9)
 
+    def test_every_replication_failing_raises(self):
+        # scale 1e-4 makes every bandwidth too small to fit at n = 64 and 128
+        with pytest.raises(BadScenarioError, match="every replication failed"):
+            mean_effect_experiment(2.0, 0.3, (64, 128), 5, 1, scale=1e-4)
+
     def test_small_run_structure(self):
         report = mean_effect_experiment(
             2.0, 0.3, (256, 512, 1024), 20, 4, scale=0.8, grid_size=21
@@ -639,6 +644,37 @@ class TestMeanEffect:
         assert all(np.isfinite(r) for r in report.ratios)
         parsed = json.loads(dump_json(report))
         assert parsed["beta"] == 0.3
+
+
+class TestIntegrationGrid:
+    """One margin and grid-size rule for every integrated risk."""
+
+    @pytest.mark.parametrize("margin, grid_size",
+                             [(0.7, 11), (-0.2, 11), (0.5, 11), (0.05, 1), (0.05, -3)])
+    def test_bad_grid_fails_before_any_replication(self, monkeypatch, margin, grid_size):
+        def no_replication(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(simlab, "_replicate", no_replication)
+        scen = smooth_scenario(100)
+        est = EstimatorConfig(FD, SmootherConfig(0.25, 1))
+        for run in (
+            lambda: global_risk(scen, est, 5, 0, margin=margin, grid_size=grid_size),
+            lambda: risk_report(scen, est, 5, 0, points=(0.5,),
+                                margin=margin, grid_size=grid_size),
+            lambda: mean_effect_experiment(2.0, 0.3, (64, 128), 5, 1,
+                                           margin=margin, grid_size=grid_size),
+        ):
+            with pytest.raises(BadParameterError, match="margin|grid points"):
+                run()
+
+    def test_risk_report_global_matches_global_risk(self):
+        scen = smooth_scenario(300)
+        est = EstimatorConfig(FD, SmootherConfig(0.25, 1))
+        report = risk_report(scen, est, 6, 5, points=(), margin=0.1, grid_size=21)
+        child = np.random.SeedSequence(5).spawn(1)[0]
+        assert report.global_risk == global_risk(scen, est, 6, child,
+                                                 margin=0.1, grid_size=21)
 
 
 class TestDeterminism:

@@ -1,10 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy import linalg
 
 from diffvar.errors import BadParameterError, InsufficientSupportError, RankDeficientError
-from diffvar.kernels import KERNEL_KINDS, kernel, kernel_eval
+from diffvar.kernels import KERNEL_KINDS, KernelSpec, kernel, kernel_eval
 from diffvar.smoother import (
+    RCOND_MIN,
     SmootherConfig,
     clt_diagnostics,
     effective_weights,
@@ -192,6 +195,69 @@ def test_rank_deficient_near_coincident_design():
         fit_at(xs, zs, SmootherConfig(0.2, 2), 0.5)
 
 
+def scaled_local_design(xs, config, x):
+    """sqrt(K)-scaled Vandermonde design of ((x - x_i)/h)^q on the support."""
+    u = (x - xs) / config.bandwidth
+    k = kernel_eval(config.kernel, u)
+    mask = k > 0
+    return np.vander(u[mask], config.degree + 1, increasing=True) * np.sqrt(k[mask])[:, None]
+
+
+@pytest.mark.parametrize("degree", range(5))
+def test_condition_estimate_is_the_scaled_design_reciprocal_condition(degree):
+    rng = np.random.default_rng(200 + degree)
+    for kind in KERNEL_KINDS:
+        xs = random_design(rng, n=300)
+        zs = rng.standard_normal(xs.size)
+        config = SmootherConfig(rng.uniform(0.1, 0.4), degree, kernel(kind))
+        for x in (0.0, rng.uniform(0.2, 0.8), 1.0):
+            want = 1.0 / np.linalg.cond(scaled_local_design(xs, config, x))
+            assert fit_at(xs, zs, config, x).condition_estimate == pytest.approx(
+                want, rel=1e-9)
+
+
+@pytest.mark.parametrize("factor, fits", [(1.5, True), (0.5, False)])
+def test_rcond_threshold_on_a_near_coincident_pair(factor, fits):
+    # two points at 0.5 -+ d get equal weight, so the scaled degree-1
+    # design has orthogonal columns and reciprocal condition d/h
+    h = 0.2
+    d = factor * RCOND_MIN * h
+    xs = 0.5 + np.array([-d, d])
+    config = SmootherConfig(h, 1)
+    want = 1.0 / np.linalg.cond(scaled_local_design(xs, config, 0.5))
+    assert want == pytest.approx(factor * RCOND_MIN, rel=1e-3)
+    if fits:
+        fit = fit_at(xs, np.array([1.0, 3.0]), config, 0.5)
+        assert fit.condition_estimate == pytest.approx(want, rel=1e-9)
+        assert fit.value == pytest.approx(2.0, rel=1e-9)
+    else:
+        with pytest.raises(RankDeficientError):
+            fit_at(xs, np.zeros(2), config, 0.5)
+
+
+def test_one_kernel_evaluation_and_one_svd_per_grid_point(monkeypatch):
+    calls = []
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    for owner, name in ((np.linalg, "svd"), (np.linalg, "qr"), (np.linalg, "solve"),
+                        (np, "unique"), (KernelSpec, "__call__")):
+        counting(owner, name)
+    xs = random_design(np.random.default_rng(11))
+    grid = np.linspace(0.1, 0.9, 5)
+    fit_on_grid(xs, np.ones(xs.size), SmootherConfig(0.2, 2), grid)
+    weight_operator(xs, SmootherConfig(0.2, 2), grid)
+    # no window here needs expanding, so nothing is evaluated twice
+    assert Counter(calls) == {"__call__": 10, "svd": 10, "unique": 10}
+
+
 def test_fit_on_grid_matches_fit_at():
     rng = np.random.default_rng(9)
     xs = random_design(rng)
@@ -260,8 +326,8 @@ def test_config_validation():
 
 @pytest.mark.parametrize("degree", range(5))
 def test_solves_match_a_triangular_solver_reference(degree):
-    # the (degree+1)-square triangular factor is solved with np.linalg.solve;
-    # a dedicated back substitution on the same QR factor must agree
+    # the fit solves through one thin SVD of the scaled local design; a QR
+    # factorization with dedicated triangular solves must agree
     rng = np.random.default_rng(100 + degree)
     for kind in KERNEL_KINDS:
         xs = random_design(rng, n=300)
