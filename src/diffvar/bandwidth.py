@@ -34,8 +34,8 @@ def rate_optimal_bandwidth(n: int, gamma: float, scale: float = 1.0) -> float:
     """scale * n^(-1/(2*gamma+1)), clamped into (0, 0.5]."""
     if n < 2:
         raise BadParameterError(f"need n >= 2, got {n}")
-    if not (gamma > 0 and scale > 0):
-        raise BadParameterError("gamma and scale must be positive")
+    if not (0 < gamma < np.inf and 0 < scale < np.inf):
+        raise BadParameterError("gamma and scale must be finite and positive")
     return float(min(scale * n ** (-1.0 / (2.0 * gamma + 1.0)), 0.5))
 
 
@@ -86,15 +86,6 @@ class CvReport:
     folds: int
     fold_assignment_seed: int
     disqualified: tuple[tuple[float, str], ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "scores": [[h, s] for h, s in self.scores],
-            "selected": self.selected,
-            "folds": self.folds,
-            "fold_assignment_seed": self.fold_assignment_seed,
-            "disqualified": [[h, r] for h, r in self.disqualified],
-        }
 
 
 def _fold_indices(m: int, folds: int, order: int) -> list[np.ndarray]:

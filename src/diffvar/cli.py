@@ -43,10 +43,10 @@ class _InputError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as exit code 1."""
+    """argparse that reports usage problems as exit code 1, in one line."""
 
     def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
+        raise _UsageError(f"{self.prog}: {message} (see '{self.prog} --help')")
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -182,8 +182,8 @@ def _fixed_bandwidth(args, n: int) -> float:
     if args.bandwidth == "rate":
         if args.gamma is None:
             raise _UsageError("--bandwidth rate requires --gamma")
-        _require(args.gamma > 0, "--gamma must be > 0")
-        _require(args.scale > 0, "--scale must be > 0")
+        _require(0 < args.gamma < np.inf, "--gamma must be finite and > 0")
+        _require(0 < args.scale < np.inf, "--scale must be finite and > 0")
         return bw.rate_optimal_bandwidth(n, args.gamma, args.scale)
     try:
         h = float(args.bandwidth)
@@ -235,7 +235,7 @@ def _cmd_estimate(args) -> int:
         "degree": args.degree,
         "bandwidth_mode": args.bandwidth,
         "bandwidth": h,
-        "cv": None if cv_report is None else cv_report.to_dict(),
+        "cv": cv_report,
         "grid": {"min": args.grid_min, "max": args.grid_max,
                  "size": args.grid_size},
         "expanded_points": list(estimate.provenance.expanded_points),
@@ -303,8 +303,8 @@ def _cmd_rates(args) -> int:
     ns = sorted(set(args.n))
     if len(ns) < 4:
         raise _UsageError("need at least 4 distinct --n values")
-    _require(args.gamma > 0, "--gamma must be > 0")
-    _require(args.scale > 0, "--scale must be > 0")
+    _require(0 < args.gamma < np.inf, "--gamma must be finite and > 0")
+    _require(0 < args.scale < np.inf, "--scale must be finite and > 0")
     if args.pointwise is not None:
         _require_unit_point(args.pointwise, "--pointwise")
     _check_risk_flags(args, args.pointwise is None)
@@ -353,8 +353,7 @@ def _cmd_diffseq(args) -> int:
         raise _UsageError("choose exactly one of --optimal, --standard, --validate")
     if args.optimal is not None:
         _require(args.optimal >= 1, "--optimal must be >= 1")
-        _require(args.tolerance > 0, "--tolerance must be > 0")
-        seq = diffseq.optimal_sequence(args.optimal, tolerance=args.tolerance)
+        seq = diffseq.optimal_sequence(args.optimal)
     elif args.standard is not None:
         seq = diffseq.standard_sequence(args.standard)
     else:
@@ -451,7 +450,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("diffseq", help="construct or validate difference sequences")
     p.add_argument("--optimal", type=int, default=None, metavar="R",
                    help="compute the variance-minimizing order-R sequence")
-    p.add_argument("--tolerance", type=float, default=1e-8)
     p.add_argument("--standard", default=None,
                    choices=["first_difference", "gsjs"])
     p.add_argument("--validate", default=None, metavar="C0,C1,...",
@@ -485,6 +483,9 @@ def main(argv=None) -> int:
         where = f" at grid point {point}" if point is not None else ""
         print(f"computation failed{where}: {type(exc).__name__}: {exc}",
               file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"computation failed: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

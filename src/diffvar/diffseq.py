@@ -6,7 +6,8 @@ cancels a locally constant mean while keeping unit noise scale, which is
 what makes squared differences usable as local variance proxies.  The
 sequence also controls a variance inflation constant C >= (2r+1)/r; the
 minimizing sequences are computed here directly, as minimum-phase
-spectral factors, without any numerical search.
+spectral factors, without any numerical search, and each is checked
+to reach a C within a fixed 1e-8 of (2r+1)/r.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BadParameterError,
     ConvergenceFailureError,
     DegenerateEndpointError,
     NonPositiveOrderError,
@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _CONSTRAINT_TOL = 1e-12
+_OPTIMALITY_TOL = 1e-8  # C - (2r+1)/r that an optimal sequence may not exceed
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +146,7 @@ def _min_phase_factor(r: int) -> np.ndarray:
     return np.fft.irfft(np.exp(np.fft.rfft(0.5 * cepstrum)), size)[:r]
 
 
-def optimal_sequence(r: int, tolerance: float = 1e-8) -> DifferenceSequence:
+def optimal_sequence(r: int) -> DifferenceSequence:
     """The order-r sequence minimizing the variance factor, in closed form.
 
     Every lag sum of an optimal sequence equals -1/(2r), so d is a
@@ -153,13 +154,11 @@ def optimal_sequence(r: int, tolerance: float = 1e-8) -> DifferenceSequence:
     returned is d = (1 - z) g with g the minimum-phase factor of
     S / |1 - e^{iw}|^2.  No search and no random numbers are involved;
     the minimum-phase factor is unique and has d_0 > 0 > d_1, ..., d_r.
-    The result must reach variance_factor within ``tolerance`` of
-    (2r+1)/r, else a ConvergenceFailureError is raised.
+    As a fixed postcondition the result must reach variance_factor
+    within 1e-8 of (2r+1)/r, else a ConvergenceFailureError is raised.
     """
     if r < 1:
         raise NonPositiveOrderError(f"order must be >= 1, got {r}")
-    if tolerance <= 0:
-        raise BadParameterError(f"tolerance must be > 0, got {tolerance}")
     d = np.convolve(_min_phase_factor(r), [1.0, -1.0])
     # exact renormalization removes the rounding left by the FFTs
     d = d / np.linalg.norm(d)
@@ -168,10 +167,10 @@ def optimal_sequence(r: int, tolerance: float = 1e-8) -> DifferenceSequence:
     seq = DifferenceSequence(d)
     target = min_constant(r)
     c = variance_factor(seq)
-    if not c - target <= tolerance:
+    if not c - target <= _OPTIMALITY_TOL:
         raise ConvergenceFailureError(
             f"computed order-{r} sequence has C = {c}, not within "
-            f"{tolerance} of {target}"
+            f"{_OPTIMALITY_TOL} of {target}"
         )
     return seq
 

@@ -10,6 +10,7 @@ the simulation lab and reuses its weights on an unchanged design.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -92,14 +93,22 @@ def _centers(xs: np.ndarray, order: int) -> np.ndarray:
 
 
 def pseudoresiduals(sample: Sample, seq: DifferenceSequence) -> PseudoresidualSeries:
-    """All n - r contrasts sum_j d_j y_{k+j}, centered per the offset convention."""
+    """All n - r contrasts sum_j d_j y_{k+j}, centered per the offset convention.
+
+    Raises NonFiniteDataError when a contrast or the sum of their squares
+    overflows, as finite responses beyond about 1e154 in magnitude do.
+    """
     r = seq.order
     centers = _centers(sample.xs, r)
     m = centers.size
     d = seq.coeffs
     values = np.zeros(m)
-    for j in range(r + 1):
-        values += d[j] * sample.ys[j : j + m]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(r + 1):
+            values += d[j] * sample.ys[j : j + m]
+        total = values @ values
+    if not math.isfinite(total):
+        raise NonFiniteDataError("squared contrasts overflow: responses too large")
     return PseudoresidualSeries(
         order=r,
         first_index=r // 2 + 1,

@@ -3,6 +3,11 @@
 Reports serialize through plain Python containers with sorted keys and
 repr-exact floats, so equal in-memory reports produce byte-identical
 JSON regardless of construction order.
+
+A dataclass serializes as the dict of its fields.  A class has a
+``to_dict`` only when its JSON is not its fields, as for ``RiskReport``,
+``RateReport``, ``NormalityReport``, ``MeanEffectReport``, ``Scenario``
+and ``EstimatorConfig``.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from .diffseq import DifferenceSequence
 from .errors import BadParameterError, BadScenarioError, DiffvarError
 from .estimator import EstimatorConfig, Sample, pseudoresiduals, variance_operator
 from .kernels import KernelSpec, kernel
+from .serialize import plain
 from .smoother import SmootherConfig
 
 # not called here any more; perfbench/tracing.py patches these names on
@@ -123,9 +124,6 @@ class FunctionSpec:
     def __call__(self, x):
         return _FUNCTIONS[self.name](x, **self.params)
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "params": dict(self.params)}
-
 
 def function_spec(name: str, **params) -> FunctionSpec:
     return FunctionSpec(name, params)
@@ -157,9 +155,6 @@ class ErrorLaw:
             s = math.sqrt(3.0)
             return rng.uniform(-s, s, size)
         return rng.standard_t(self.df, size) * math.sqrt((self.df - 2.0) / self.df)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "df": self.df}
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,10 +200,10 @@ class Scenario:
     def to_dict(self) -> dict:
         return {
             "label": self.label,
-            "mean_fn": self.mean_fn.to_dict(),
-            "var_fn": self.var_fn.to_dict(),
+            "mean_fn": plain(self.mean_fn),
+            "var_fn": plain(self.var_fn),
             "n": self.n,
-            "error_law": self.error_law.to_dict(),
+            "error_law": plain(self.error_law),
             "design": "equispaced" if self.design is None else "explicit",
         }
 
@@ -569,8 +564,10 @@ def rate_schedule(
     """n -> estimator with bandwidth scale * n^(-1/(2 gamma + 1)).
 
     The default degree floor(gamma) + 1 keeps the fit order above the
-    smoothness exponent, as the rate statements require.
+    smoothness exponent, as the rate statements require.  A gamma or
+    scale that is not finite and positive raises BadParameterError here.
     """
+    rate_optimal_bandwidth(2, gamma, scale)  # checks gamma and scale
     if degree is None:
         degree = int(math.floor(gamma)) + 1
     def build(n: int) -> EstimatorConfig:
@@ -647,7 +644,8 @@ def rate_experiment(
         risks=tuple(risks),
         slope=slope,
         slope_stderr=stderr,
-        theoretical_slope=-2.0 * gamma / (2.0 * gamma + 1.0),
+        # -2 gamma / (2 gamma + 1), without overflowing 2 gamma
+        theoretical_slope=-gamma / (gamma + 0.5),
         slope_defined=defined,
         dropped_smallest=bool(dropped),
         kind="global" if x0 is None else f"pointwise@{x0}",
@@ -745,17 +743,6 @@ class BiasVarianceReport:
     variance_slope: float
     replications: int
     x0: float
-
-    def to_dict(self) -> dict:
-        return {
-            "bandwidths": [float(h) for h in self.bandwidths],
-            "squared_bias": [float(b) for b in self.squared_bias],
-            "variance": [float(v) for v in self.variance],
-            "bias_slope": self.bias_slope,
-            "variance_slope": self.variance_slope,
-            "replications": self.replications,
-            "x0": self.x0,
-        }
 
 
 def bias_variance_experiment(

@@ -36,7 +36,7 @@ def check(num, description, condition):
 def test_criterion_01_optimal_sequence_constants():
     worst = 0.0
     for r in range(1, 7):
-        seq = diffseq.optimal_sequence(r, tolerance=1e-8)
+        seq = diffseq.optimal_sequence(r)
         gap = abs(diffseq.variance_factor(seq) - diffseq.min_constant(r))
         worst = max(worst, gap)
     check(1, f"optimal sequences reach (2r+1)/r for r=1..6 within 1e-6 "

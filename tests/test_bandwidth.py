@@ -11,7 +11,12 @@ from diffvar.bandwidth import (
     default_grid,
     rate_optimal_bandwidth,
 )
-from diffvar.errors import AllCandidatesFailedError, BadParameterError, SmootherError
+from diffvar.errors import (
+    AllCandidatesFailedError,
+    BadParameterError,
+    NonFiniteDataError,
+    SmootherError,
+)
 from diffvar.estimator import Sample, pseudoresiduals
 from diffvar.serialize import dump_json
 from diffvar.smoother import SmootherConfig, effective_weights, fit_at
@@ -40,7 +45,8 @@ class TestRateOptimal:
             rate_optimal_bandwidth(100, 0.0)
         with pytest.raises(BadParameterError):
             rate_optimal_bandwidth(100, 2.0, scale=0.0)
-        for gamma, scale in ((float("nan"), 1.0), (2.0, float("nan"))):
+        nan, inf = float("nan"), float("inf")
+        for gamma, scale in ((nan, 1.0), (2.0, nan), (inf, 1.0), (2.0, inf)):
             with pytest.raises(BadParameterError):
                 rate_optimal_bandwidth(100, gamma, scale)
 
@@ -99,6 +105,29 @@ class TestCvSelect:
         assert parsed["folds"] == 5
         assert parsed["fold_assignment_seed"] == 7
         assert parsed["selected"] == a.selected
+
+    def test_json_is_the_report_fields(self):
+        sample = _toy_sample(n=200, seed=2)
+        grid = BandwidthGrid(np.array([0.001, 0.1, 0.3]))
+        report = cv_select(sample, FD, SmootherConfig(0.25, 1), grid, folds=4, seed=3)
+        assert report.disqualified  # the 0.001 candidate, so both lists are pinned
+        # oracle: the report's JSON is exactly its fields
+        expected = {
+            "scores": [[h, s] for h, s in report.scores],
+            "selected": report.selected,
+            "folds": report.folds,
+            "fold_assignment_seed": report.fold_assignment_seed,
+            "disqualified": [[h, r] for h, r in report.disqualified],
+        }
+        assert dump_json(report) == json.dumps(expected, indent=2, sort_keys=True)
+
+    def test_overflowing_contrasts_raise(self):
+        sample = _toy_sample(n=200)
+        ys = sample.ys.copy()
+        ys[50] = 1e160
+        with pytest.raises(NonFiniteDataError):
+            cv_select(Sample(sample.xs, ys), FD, SmootherConfig(0.25, 1),
+                      BandwidthGrid(np.array([0.1, 0.3])), folds=4, seed=0)
 
     def test_selected_is_argmin_in_grid(self):
         sample = _toy_sample(seed=3)

@@ -152,6 +152,22 @@ class TestEstimate:
         assert not out.exists()
         assert not (tmp_path / "o.json").exists()
 
+    @pytest.mark.parametrize("mode", [["0.2"], ["cv", "--seed", "1"]])
+    def test_overflowing_contrasts_are_computation_errors(self, tmp_path, capsys, mode):
+        inp = tmp_path / "data.csv"
+        out = tmp_path / "o.csv"
+        sample = write_sample_csv(inp, n=200)
+        rows = inp.read_text().splitlines()
+        rows[51] = f"{float(sample.xs[50])!r},1e160"  # its square overflows
+        inp.write_text("\n".join(rows) + "\n")
+        code = main(["estimate", "--input", str(inp), "--output", str(out),
+                     "--bandwidth", *mode])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "NonFiniteDataError" in err
+        assert os.listdir(tmp_path) == ["data.csv"]
+
 
 class TestSimulate:
     def test_json_report(self, tmp_path):
@@ -207,6 +223,26 @@ class TestSimulate:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"{role} function 'constant' is not finite on the design"]
 
+    def test_overflowing_contrasts_fail_every_replication(self, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        code = main(_SIM + ["--x0", "0.5", "--mean", "sine:offset=0,amplitude=1e200",
+                            "--output", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["computation failed: BadScenarioError: every replication failed"]
+        assert not out.exists()
+
+    def test_out_of_memory_is_a_computation_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+        monkeypatch.setattr(simlab, "risk_report", exhausted)
+        out = tmp_path / "o.json"
+        assert main(_SIM + ["--output", str(out)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["computation failed: out of memory: "
+                       "Unable to allocate 745. GiB for an array"]
+        assert os.listdir(tmp_path) == []
+
     def test_student_t_requires_valid_df(self):
         assert main(["simulate", "--n", "300", "--replications", "10",
                      "--seed", "1", "--bandwidth", "0.25",
@@ -230,6 +266,10 @@ class TestRates:
         assert main(["rates", "--gamma", "2", "--n", "128", "--n", "256",
                      "--n", "512", "--n", "1024", "--replications", "5",
                      "--seed", "1", "--grid-size", "1"]) == 1
+
+    def test_huge_gamma_has_a_finite_theoretical_slope(self, capsys):
+        assert main(_RATES + ["--gamma", "1e308", "--degree", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["theoretical_slope"] == -1.0
 
     def test_too_few_sizes(self):
         assert main(["rates", "--gamma", "2", "--n", "128", "--n", "256",
@@ -353,6 +393,10 @@ class TestFlagValues:
         _SIM + ["--error-law", "student_t", "--df", "inf"],
         _NORM + ["--error-law", "student_t", "--df", "inf"],
         _SIM + ["--n", "0"],
+        _RATES + ["--gamma", "inf"],
+        _RATES + ["--scale", "inf"],
+        _SIM[:-1] + ["rate", "--gamma", "inf"],
+        _SIM[:-1] + ["rate", "--gamma", "2", "--scale", "inf"],
     ])
     def test_out_of_range_values_are_usage_errors(self, tmp_path, capsys, argv):
         if argv[0] == "estimate":

@@ -93,6 +93,20 @@ class TestPseudoresiduals:
         with pytest.raises(TooFewObservationsError):
             pseudoresiduals(make_sample([1.0, 2.0]), GSJS)
 
+    @pytest.mark.parametrize("ys", [
+        [0.0, 1e160, 0.0, 1.0],     # the contrast is finite, its square is not
+        [1.7e308, -1.7e308, 1.0],   # the contrast itself overflows
+        [1e153, -1e153] * 100,      # each square is finite, their sum is not
+    ])
+    def test_overflowing_contrasts_raise(self, ys):
+        # without a RuntimeWarning: the suite turns one into an error
+        with pytest.raises(NonFiniteDataError, match="overflow"):
+            pseudoresiduals(make_sample(ys), FD)
+
+    def test_large_finite_contrasts_pass(self):
+        series = pseudoresiduals(make_sample([0.0, 1e150, 0.0]), FD)
+        assert np.all(np.isfinite(series.values**2))
+
 
 class TestClassicalEstimators:
     def test_rice_hand_values(self):

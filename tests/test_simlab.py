@@ -448,6 +448,31 @@ class TestRiskReport:
         with pytest.raises(BadParameterError):
             risk_report(scen, est, 25, 5, points=(), include_global=False)
 
+    def test_scenario_block_is_plain_data(self):
+        scen = smooth_scenario(300, error_law=ErrorLaw("student_t", df=10.0))
+        est = EstimatorConfig(FD, SmootherConfig(0.25, 1))
+        report = risk_report(scen, est, 5, 5, points=(0.5,), include_global=False)
+        # the scenario's JSON nests the fields of its functions and error law
+        expected = {
+            "label": "smooth-n300-student_t",
+            "mean_fn": {"name": "sine", "params": {"offset": 2.0, "amplitude": 1.0}},
+            "var_fn": {"name": "sine", "params": {"offset": 0.5, "amplitude": 0.25}},
+            "n": 300,
+            "error_law": {"kind": "student_t", "df": 10.0},
+            "design": "equispaced",
+        }
+        assert report.scenario == expected
+        block = json.dumps(json.loads(dump_json(report))["scenario"],
+                           indent=2, sort_keys=True)
+        assert block == json.dumps(expected, indent=2, sort_keys=True)
+
+    def test_overflowing_contrasts_fail_every_replication(self):
+        scen = Scenario("huge-mean", function_spec("sine", offset=0.0, amplitude=1e200),
+                        function_spec("constant", value=1.0), n=200)
+        est = EstimatorConfig(FD, SmootherConfig(0.2, 1))
+        with pytest.raises(BadScenarioError, match="every replication failed"):
+            risk_report(scen, est, 5, 1, points=(0.5,))
+
 
 class TestRateExperiment:
     def test_needs_four_sizes(self):
@@ -501,6 +526,20 @@ class TestRateExperiment:
         assert report.risks[0].failures > 4
         assert report.dropped_smallest
         assert report.slope_defined
+
+    @pytest.mark.parametrize("gamma, scale", [
+        (float("inf"), 1.0), (float("nan"), 1.0), (0.0, 1.0), (2.0, float("inf")),
+    ])
+    def test_schedule_rejects_bad_gamma_and_scale(self, gamma, scale):
+        with pytest.raises(BadParameterError, match="finite and positive"):
+            rate_schedule(FD, gamma, scale)
+
+    def test_theoretical_slope_for_huge_gamma(self):
+        scens = [smooth_scenario(n) for n in (128, 256, 512, 1024)]
+        def schedule(n):
+            return lambda sample, grid: 1.0 / n + 0.0 * np.asarray(grid)
+        report = rate_experiment(scens, schedule, 5, 0, gamma=1e308, x0=0.5)
+        assert report.theoretical_slope == -1.0
 
     def test_pointwise_kind(self):
         ns = (128, 256, 512, 1024)
@@ -599,6 +638,21 @@ class TestBiasVariance:
         scen = quadratic_variance_scenario(200)
         with pytest.raises(BadParameterError, match="2 distinct bandwidths"):
             bias_variance_experiment(scen, FD, hs, 0.5, 20, 0)
+
+    def test_json_is_the_report_fields(self):
+        scen = quadratic_variance_scenario(300)
+        report = bias_variance_experiment(scen, FD, [0.15, 0.3], 0.5, 20, 4)
+        # oracle: the report's JSON is exactly its fields
+        expected = {
+            "bandwidths": [float(h) for h in report.bandwidths],
+            "squared_bias": [float(b) for b in report.squared_bias],
+            "variance": [float(v) for v in report.variance],
+            "bias_slope": report.bias_slope,
+            "variance_slope": report.variance_slope,
+            "replications": report.replications,
+            "x0": report.x0,
+        }
+        assert dump_json(report) == json.dumps(expected, indent=2, sort_keys=True)
 
     def test_report_shapes(self):
         scen = quadratic_variance_scenario(400)
