@@ -35,7 +35,7 @@ from .estimator import (
     pseudoresiduals,
     rice_estimate,
 )
-from .kernels import KernelSpec, kernel, kernel_eval, kernel_moments
+from .kernels import KernelSpec, kernel, kernel_moments
 from .serialize import dump_json
 from .simlab import (
     ErrorLaw,
@@ -103,7 +103,6 @@ __all__ = [
     "gsjs_estimate",
     "hkt_estimate",
     "kernel",
-    "kernel_eval",
     "kernel_moments",
     "mean_effect_experiment",
     "min_constant",

@@ -56,8 +56,8 @@ class BandwidthGrid:
             raise BadParameterError("candidates must lie in (0, 0.5]")
 
 
-def default_grid(sample: Sample, size: int = 12, upper: float = 0.4) -> BandwidthGrid:
-    """Geometric grid from 4x the widest design gap up to ``upper``.
+def default_grid(sample: Sample) -> BandwidthGrid:
+    """12 geometrically spaced candidates from 4x the widest gap up to 0.4.
 
     The lower end guarantees several observations per window; the upper
     end stays clear of near-global fits.  Gaps include the implicit
@@ -65,11 +65,11 @@ def default_grid(sample: Sample, size: int = 12, upper: float = 0.4) -> Bandwidt
     """
     gaps = np.diff(np.concatenate(([0.0], sample.xs, [1.0])))
     lo = 4.0 * float(gaps.max())
-    if lo >= upper:
+    if lo >= 0.4:
         raise BadParameterError(
-            f"design too sparse: 4*max gap = {lo:.4g} >= upper bound {upper}"
+            f"design too sparse: 4*max gap = {lo:.4g} >= upper bound 0.4"
         )
-    return BandwidthGrid(np.geomspace(lo, upper, size))
+    return BandwidthGrid(np.geomspace(lo, 0.4, 12))
 
 
 @dataclass(frozen=True)

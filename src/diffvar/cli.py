@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bandwidth as bw
 from . import diffseq, simlab
-from .errors import DiffvarError
+from .errors import BadParameterError, DiffvarError
 from .estimator import Sample, estimate_variance
 from .kernels import KERNEL_KINDS, kernel
 from .serialize import dump_json
@@ -131,11 +131,19 @@ def _resolve_sequence(args) -> diffseq.DifferenceSequence:
         except DiffvarError as exc:
             raise _InputError(f"{args.sequence_file}: {exc}") from exc
     if args.sequence == "optimal":
-        _require(args.order >= 1, "--order must be >= 1")
-        return diffseq.optimal_sequence(args.order)
+        return _optimal_sequence(args.order, "--order")
     if args.sequence in ("first_difference", "gsjs"):
         return diffseq.standard_sequence(args.sequence)
     raise _UsageError(f"unknown sequence {args.sequence!r}")
+
+
+def _optimal_sequence(order: int, flag: str) -> diffseq.DifferenceSequence:
+    """The optimal sequence of a flag's order; a bad order is a usage error."""
+    _require(order >= 1, f"{flag} must be >= 1")
+    try:
+        return diffseq.optimal_sequence(order)
+    except BadParameterError as exc:
+        raise _UsageError(f"{flag}: {exc}") from exc
 
 
 def _require(ok: bool, message: str) -> None:
@@ -312,6 +320,10 @@ def _cmd_rates(args) -> int:
     schedule = simlab.rate_schedule(
         seq, args.gamma, args.scale, degree=args.degree, kernel_spec=kernel(args.kernel)
     )
+    # degree + 1 distinct abscissae per window: a larger degree never fits
+    _require(schedule(ns[0]).smoother.degree < ns[0],
+             f"--degree must be below the smallest --n ({ns[0]}); "
+             "it defaults to floor(--gamma) + 1")
     scenarios = [simlab.smooth_scenario(n) for n in ns]
     report = simlab.rate_experiment(
         scenarios, schedule, args.replications, args.seed,
@@ -352,8 +364,7 @@ def _cmd_diffseq(args) -> int:
     if sum(chosen) != 1:
         raise _UsageError("choose exactly one of --optimal, --standard, --validate")
     if args.optimal is not None:
-        _require(args.optimal >= 1, "--optimal must be >= 1")
-        seq = diffseq.optimal_sequence(args.optimal)
+        seq = _optimal_sequence(args.optimal, "--optimal")
     elif args.standard is not None:
         seq = diffseq.standard_sequence(args.standard)
     else:
@@ -479,10 +490,7 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except DiffvarError as exc:
-        point = getattr(exc, "grid_point", None)
-        where = f" at grid point {point}" if point is not None else ""
-        print(f"computation failed{where}: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
+        print(f"computation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:
         print(f"computation failed: out of memory: {exc}", file=sys.stderr)

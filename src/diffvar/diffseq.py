@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadParameterError,
     ConvergenceFailureError,
     DegenerateEndpointError,
     NonPositiveOrderError,
@@ -37,6 +38,7 @@ __all__ = [
 
 _CONSTRAINT_TOL = 1e-12
 _OPTIMALITY_TOL = 1e-8  # C - (2r+1)/r that an optimal sequence may not exceed
+_MAX_ORDER = 4096  # the FFT and the O(r^2) lag sums stay well under a second
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,9 +158,13 @@ def optimal_sequence(r: int) -> DifferenceSequence:
     the minimum-phase factor is unique and has d_0 > 0 > d_1, ..., d_r.
     As a fixed postcondition the result must reach variance_factor
     within 1e-8 of (2r+1)/r, else a ConvergenceFailureError is raised.
+    Orders above a fixed maximum raise BadParameterError before any
+    allocation.
     """
     if r < 1:
         raise NonPositiveOrderError(f"order must be >= 1, got {r}")
+    if r > _MAX_ORDER:
+        raise BadParameterError(f"order must be <= {_MAX_ORDER}")
     d = np.convolve(_min_phase_factor(r), [1.0, -1.0])
     # exact renormalization removes the rounding left by the FFTs
     d = d / np.linalg.norm(d)

@@ -42,13 +42,7 @@ class ConvergenceFailureError(DiffvarError, RuntimeError):
 # --- local polynomial smoothing ---
 
 class SmootherError(DiffvarError):
-    """Base class for local fit failures.
-
-    When raised from a grid evaluation, the offending grid point is
-    attached as the ``grid_point`` attribute.
-    """
-
-    grid_point: float | None = None
+    """Base class for local fit failures; the message names the point x=..."""
 
 
 class InsufficientSupportError(SmootherError):

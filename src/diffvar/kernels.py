@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import UnknownKindError
 
-__all__ = ["KernelSpec", "kernel", "kernel_eval", "kernel_moments", "KERNEL_KINDS"]
+__all__ = ["KernelSpec", "kernel", "kernel_moments", "KERNEL_KINDS"]
 
 
 def _epanechnikov(u):
@@ -44,7 +44,7 @@ KERNEL_KINDS = tuple(_KERNELS)
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A named kernel with its closed-form evaluator."""
+    """A named kernel; calling it evaluates K(u), exactly zero for |u| > 1."""
 
     kind: str
 
@@ -60,11 +60,6 @@ class KernelSpec:
 
 def kernel(kind: str = "epanechnikov") -> KernelSpec:
     return KernelSpec(kind)
-
-
-def kernel_eval(spec: KernelSpec, u):
-    """Evaluate K(u); nonnegative, exactly zero for |u| > 1."""
-    return spec(u)
 
 
 def kernel_moments(spec: KernelSpec) -> tuple[float, float]:

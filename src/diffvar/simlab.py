@@ -185,11 +185,12 @@ class Scenario:
         if self.design is not None:
             d = np.asarray(self.design, dtype=float)
             object.__setattr__(self, "design", d)
-            if d.size != self.n or np.any(np.diff(d) <= 0):
+            # written so that a NaN fails each check
+            if d.size != self.n or not np.all(np.diff(d) > 0):
                 raise BadScenarioError(
                     "explicit design must be strictly increasing of length n"
                 )
-            if d[0] <= 0.0 or d[-1] >= 1.0:
+            if not (d[0] > 0.0 and d[-1] < 1.0):
                 raise BadScenarioError("design points must lie inside (0, 1)")
 
     def design_points(self) -> np.ndarray:
@@ -271,12 +272,12 @@ def quadratic_variance_scenario(
     )
 
 
-def _design(scenario: Scenario, check_delta: bool = True):
+def _design(scenario: Scenario):
     """Evaluate the scenario on its fixed design: (xs, mean, sd).
 
     Raises :class:`BadScenarioError` when the mean or the variance is not
-    finite on the design, when the variance is negative, or, with
-    ``check_delta``, when it falls below the scenario's ``variance_floor``.
+    finite on the design, when the variance is negative, or when it falls
+    below the scenario's ``variance_floor``.
     """
     xs = scenario.design_points()
     mean = np.asarray(scenario.mean_fn(xs), dtype=float)
@@ -289,7 +290,7 @@ def _design(scenario: Scenario, check_delta: bool = True):
             )
     if np.any(variances < 0.0):
         raise BadScenarioError("variance function is negative on the design")
-    if check_delta and np.any(variances < scenario.variance_floor):
+    if np.any(variances < scenario.variance_floor):
         raise BadScenarioError(
             "variance function falls below the declared lower bound "
             f"{scenario.variance_floor}"
@@ -304,14 +305,14 @@ def _draw(scenario: Scenario, design, seed) -> Sample:
     return Sample(xs, mean + sd * eps)
 
 
-def generate_sample(scenario: Scenario, seed, check_delta: bool = True) -> Sample:
+def generate_sample(scenario: Scenario, seed) -> Sample:
     """Draw one dataset from the scenario, deterministically in the seed.
 
-    ``check_delta`` enforces the scenario's ``variance_floor``; disable it
-    to simulate degenerate cases such as exactly noise-free data.  The
+    The scenario's ``variance_floor`` is enforced; declare it 0.0 to
+    simulate degenerate cases such as exactly noise-free data.  The
     experiments draw the same samples without re-evaluating the design.
     """
-    return _draw(scenario, _design(scenario, check_delta), seed)
+    return _draw(scenario, _design(scenario), seed)
 
 
 # --- estimators as callables ---------------------------------------------

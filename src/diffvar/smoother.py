@@ -15,10 +15,10 @@ Each point evaluates the kernel once and takes one thin SVD,
 D = U diag(s) V^T, of the sqrt-weight-scaled, bandwidth-rescaled local
 design; the least-squares hat matrix is V diag(1/s) U^T diag(sqrt w).
 The normal equations D^T D, which would square the condition number,
-are never formed.  A QR factorization D = QR has orthonormal Q, so R
-has the same singular values as D and s_min/s_max is the reciprocal
-condition of R.  Below 1e-12 it raises RankDeficientError, before any
-division by s, instead of silently degrading the fit.
+are never formed.  The singular values give s_min/s_max, the
+reciprocal condition of D; below 1e-12 the fit raises
+RankDeficientError, before any division by s, instead of silently
+degrading.  Every failure message names the evaluation point as x=...
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .errors import (
     BadParameterError,
     InsufficientSupportError,
     RankDeficientError,
-    SmootherError,
 )
 from .kernels import KernelSpec, kernel
 
@@ -240,12 +239,8 @@ def fit_at(
     )
 
 
-def _over_grid(grid, fit) -> tuple[np.ndarray, list]:
-    """Check a sorted grid in [0, 1] and call ``fit`` at each of its points.
-
-    Fit errors propagate with the offending grid point attached as the
-    exception's ``grid_point`` attribute.
-    """
+def _checked_grid(grid) -> np.ndarray:
+    """The grid as floats, once checked to be sorted, nonempty and in [0, 1]."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise BadParameterError("grid must be a nonempty 1-d sequence")
@@ -253,14 +248,7 @@ def _over_grid(grid, fit) -> tuple[np.ndarray, list]:
         raise BadParameterError("grid must be sorted ascending")
     if grid[0] < 0.0 or grid[-1] > 1.0:
         raise BadParameterError("grid values must lie in [0, 1]")
-    results = []
-    for x in grid:
-        try:
-            results.append(fit(x))
-        except SmootherError as exc:
-            exc.grid_point = float(x)
-            raise
-    return grid, results
+    return grid
 
 
 def fit_on_grid(
@@ -268,11 +256,10 @@ def fit_on_grid(
 ) -> list[LocalFit]:
     """Repeated fit_at over a sorted grid in [0, 1].
 
-    Fit errors propagate with the offending grid point attached as the
-    exception's ``grid_point`` attribute.
+    A failed fit raises with the offending point named in its message.
     """
-    return _over_grid(
-        grid, lambda x: fit_at(xs, zs, config, x, expand_to_minimum))[1]
+    return [fit_at(xs, zs, config, x, expand_to_minimum)
+            for x in _checked_grid(grid)]
 
 
 def weight_operator(
@@ -283,11 +270,12 @@ def weight_operator(
     Each grid point is factorized once, with the same support, rcond and
     expansion checks as :func:`fit_on_grid`; applying the operator to
     responses on ``xs`` then equals the fitted values up to rounding.
-    Errors carry the offending grid point as in :func:`fit_on_grid`.
+    A failed point raises as in :func:`fit_on_grid`.
     """
-    grid, weights = _over_grid(
-        grid, lambda x: effective_weights(xs, config, x, expand_to_minimum))
-    return WeightOperator(grid=grid, weights=tuple(weights))
+    grid = _checked_grid(grid)
+    weights = tuple(effective_weights(xs, config, x, expand_to_minimum)
+                    for x in grid)
+    return WeightOperator(grid=grid, weights=weights)
 
 
 def clt_diagnostics(weights: EffectiveWeights, n: int, h: float) -> CltDiagnostics:

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from diffvar import simlab
+from diffvar import diffseq, simlab
 from diffvar.cli import main
 
 
@@ -138,7 +138,7 @@ class TestEstimate:
         assert code == 3
         assert not out.exists()
         err = capsys.readouterr().err
-        assert "grid point" in err
+        assert "x=0.05" in err
         assert "InsufficientSupport" in err
 
     def test_no_partial_output_on_failure(self, tmp_path):
@@ -271,6 +271,17 @@ class TestRates:
         assert main(_RATES + ["--gamma", "1e308", "--degree", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["theoretical_slope"] == -1.0
 
+    @pytest.mark.parametrize("gamma", ["1e308", "150"])
+    def test_default_degree_beyond_smallest_n_is_usage_error(self, capsys, gamma):
+        # the default degree floor(gamma) + 1 leaves no fit at n = 100
+        argv = ["rates", "--gamma", gamma, "--n", "100", "--n", "200", "--n", "300",
+                "--n", "400", "--replications", "3", "--seed", "1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "--degree" in captured.err
+
     def test_too_few_sizes(self):
         assert main(["rates", "--gamma", "2", "--n", "128", "--n", "256",
                      "--replications", "5", "--seed", "1"]) == 1
@@ -337,6 +348,42 @@ class TestDiffseq:
     def test_exactly_one_mode(self):
         assert main(["diffseq"]) == 1
         assert main(["diffseq", "--optimal", "2", "--standard", "gsjs"]) == 1
+
+    @pytest.mark.parametrize("command",
+                             ["diffseq", "estimate", "simulate", "normality"])
+    def test_huge_optimal_order_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                               command):
+        def allocate(r):
+            raise AssertionError(f"order {r} reached the spectral factor")
+
+        out = tmp_path / "o.csv"
+        inp = tmp_path / "data.csv"
+        write_sample_csv(inp, n=200)
+
+        def argv(order):
+            if command == "diffseq":
+                return ["diffseq", "--optimal", order, "--output", str(out)]
+            flags = ["--sequence", "optimal", "--order", order, "--output", str(out)]
+            if command == "estimate":
+                return ["estimate", "--input", str(inp), "--bandwidth", "0.2"] + flags
+            if command == "simulate":
+                return ["simulate", "--n", "200", "--replications", "2", "--seed",
+                        "1", "--bandwidth", "0.2"] + flags
+            return _NORM + flags
+
+        huge = str(10**18)
+        monkeypatch.setattr(diffseq, "_min_phase_factor", allocate)
+        assert main(argv(huge)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "order must be <=" in captured.err
+        assert huge not in captured.err
+        # a missed optimality postcondition stays a computation failure
+        monkeypatch.setattr(diffseq, "_min_phase_factor", lambda r: np.ones(r))
+        assert main(argv("2")) == 3
+        assert "ConvergenceFailureError" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["data.csv"]
 
 
 class TestUsage:

@@ -3,6 +3,7 @@ import pytest
 
 from diffvar import diffseq
 from diffvar.errors import (
+    BadParameterError,
     ConvergenceFailureError,
     DegenerateEndpointError,
     NonPositiveOrderError,
@@ -123,6 +124,19 @@ def test_optimal_is_deterministic():
 def test_optimal_rejects_bad_args():
     with pytest.raises(NonPositiveOrderError):
         diffseq.optimal_sequence(0)
+
+
+def test_optimal_rejects_huge_order_before_allocating(monkeypatch):
+    def allocate(r):
+        raise AssertionError(f"order {r} reached the spectral factor")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(diffseq, "_min_phase_factor", allocate)
+        for r in (10**18, diffseq._MAX_ORDER + 1):
+            with pytest.raises(BadParameterError, match="order must be <="):
+                diffseq.optimal_sequence(r)
+    seq = diffseq.optimal_sequence(diffseq._MAX_ORDER)
+    assert diffseq.variance_factor(seq) - diffseq.min_constant(seq.order) <= 1e-8
 
 
 def _lag_sums(d):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,6 +107,12 @@ class TestScenario:
         with pytest.raises(BadScenarioError):
             Scenario("bad", fn, fn, n=2, design=np.array([0.0, 0.4]))
 
+    @pytest.mark.parametrize("design", [[0.2, np.nan, 0.8], [0.2, 0.5, np.nan]])
+    def test_nan_design_rejected(self, design):
+        fn = function_spec("constant", value=1.0)
+        with pytest.raises(BadScenarioError):
+            Scenario("bad", fn, fn, n=3, design=np.array(design))
+
     def test_variance_floor_validation(self):
         fn = function_spec("constant", value=1.0)
         with pytest.raises(BadScenarioError):
@@ -127,7 +134,7 @@ class TestGenerateSample:
         scen = Scenario("zero-var", mean, fn0, n=50)  # default variance_floor 0.25
         with pytest.raises(BadScenarioError):
             generate_sample(scen, 0)
-        sample = generate_sample(scen, 0, check_delta=False)
+        sample = generate_sample(replace(scen, variance_floor=0.0), 0)
         assert np.array_equal(sample.ys, np.full(50, 3.0))
 
     def test_negative_variance_rejected(self):
@@ -136,7 +143,7 @@ class TestGenerateSample:
             function_spec("sine", offset=0.0, amplitude=1.0), n=50,
         )
         with pytest.raises(BadScenarioError):
-            generate_sample(scen, 0, check_delta=False)
+            generate_sample(scen, 0)
 
     @pytest.mark.parametrize("mean, var, role", [
         (float("nan"), 1.0, "mean"),
@@ -148,7 +155,7 @@ class TestGenerateSample:
                         function_spec("constant", value=var), n=50)
         with pytest.raises(BadScenarioError,
                            match=f"{role} function 'constant' is not finite"):
-            generate_sample(scen, 0, check_delta=False)
+            generate_sample(scen, 0)
 
     def test_moments_match_scenario(self):
         scen = smooth_scenario(50)

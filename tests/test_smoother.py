@@ -5,7 +5,7 @@ import pytest
 from scipy import linalg
 
 from diffvar.errors import BadParameterError, InsufficientSupportError, RankDeficientError
-from diffvar.kernels import KERNEL_KINDS, KernelSpec, kernel, kernel_eval
+from diffvar.kernels import KERNEL_KINDS, KernelSpec, kernel
 from diffvar.smoother import (
     RCOND_MIN,
     SmootherConfig,
@@ -25,7 +25,7 @@ def wls_oracle(xs, zs, config, x):
     positively weighted points.
     """
     u = (x - xs) / config.bandwidth
-    k = kernel_eval(config.kernel, u)
+    k = config.kernel(u)
     mask = k > 0
     m = np.vander(x - xs[mask], config.degree + 1, increasing=True)
     a = m.T @ (k[mask, None] * m)
@@ -198,7 +198,7 @@ def test_rank_deficient_near_coincident_design():
 def scaled_local_design(xs, config, x):
     """sqrt(K)-scaled Vandermonde design of ((x - x_i)/h)^q on the support."""
     u = (x - xs) / config.bandwidth
-    k = kernel_eval(config.kernel, u)
+    k = config.kernel(u)
     mask = k > 0
     return np.vander(u[mask], config.degree + 1, increasing=True) * np.sqrt(k[mask])[:, None]
 
@@ -286,7 +286,7 @@ def test_fit_on_grid_tags_offending_point():
     config = SmootherConfig(0.05, 1)
     with pytest.raises(InsufficientSupportError) as info:
         fit_on_grid(xs, zs, config, [0.5, 0.95])
-    assert info.value.grid_point == pytest.approx(0.95)
+    assert "x=0.95" in str(info.value)
 
 
 def test_weight_operator_applies_the_grid_fits():
@@ -310,7 +310,7 @@ def test_weight_operator_records_expansion_and_tags_failures():
     assert [w.expanded for w in op.weights] == [False, True, False]
     with pytest.raises(InsufficientSupportError) as info:
         weight_operator(xs, config, [0.2, 0.5, 0.8])
-    assert info.value.grid_point == pytest.approx(0.5)
+    assert "x=0.5" in str(info.value)
     with pytest.raises(BadParameterError):
         weight_operator(xs, config, [0.8, 0.2])
 
