@@ -61,7 +61,6 @@ from .smoother import (
     LocalFit,
     SmootherConfig,
     WeightOperator,
-    clt_diagnostics,
     effective_weights,
     fit_at,
     fit_on_grid,
@@ -88,7 +87,6 @@ __all__ = [
     "WeightOperator",
     "bias_variance_experiment",
     "clip_at_zero",
-    "clt_diagnostics",
     "constant_scenario",
     "cv_select",
     "default_grid",

@@ -18,7 +18,6 @@ import argparse
 import csv
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +50,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _write_atomic(path: str, text: str) -> None:
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=".tmp-")
+    # mode 0o666 lets the umask apply, as open() does; mkstemp's 0o600
+    # would leave every output file readable by its owner only
+    tmp = target.parent / f".tmp-{os.urandom(8).hex()}"
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)

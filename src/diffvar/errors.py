@@ -46,11 +46,11 @@ class SmootherError(DiffvarError):
 
 
 class InsufficientSupportError(SmootherError):
-    """Fewer than degree+1 distinct abscissae carry positive kernel weight."""
+    """Fewer than degree+1 points carry positive kernel weight."""
 
 
 class RankDeficientError(SmootherError):
-    """Local design matrix is numerically singular."""
+    """Local design matrix is numerically singular, as under too many ties."""
 
 
 # --- estimators ---

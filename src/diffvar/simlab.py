@@ -147,6 +147,8 @@ class ErrorLaw:
                     f"student_t needs a finite df > 8 for the required "
                     f"moments, got {self.df}"
                 )
+        elif self.df is not None:
+            raise BadScenarioError(f"df applies only to student_t, not {self.kind}")
 
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.kind == "gaussian":
@@ -499,7 +501,7 @@ def risk_report(
         scenario=scenario.to_dict(),
         estimator=_describe(estimator),
         replications=replications,
-        seed=seed if isinstance(seed, int) else -1,
+        seed=int(seed) if isinstance(seed, (int, np.integer)) else -1,
         pointwise=pw,
         global_risk=gr,
         grid_margin=margin,

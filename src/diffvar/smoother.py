@@ -1,9 +1,9 @@
 """Local polynomial regression with explicit effective weights.
 
-At an evaluation point x, responses inside the bandwidth window are fit
-by weighted least squares on polynomials of (x - x_i); the intercept is
-the smoothed value.  Because the fitted value is linear in the
-responses, each fit also yields the effective weight that every
+At an evaluation point x, the responses in the window, one slice of the
+ordered abscissae, are fit by weighted least squares on polynomials of
+(x - x_i); the intercept is the smoothed value.  Because it is linear in
+the responses, each fit also yields the effective weight that every
 observation contributes to the intercept.  Those weights sum to one and
 annihilate (x - x_i)^q for q = 1..degree, which is what downstream risk
 and normality experiments rely on.  Since the weights depend on the
@@ -16,9 +16,9 @@ D = U diag(s) V^T, of the sqrt-weight-scaled, bandwidth-rescaled local
 design; the least-squares hat matrix is V diag(1/s) U^T diag(sqrt w).
 The normal equations D^T D, which would square the condition number,
 are never formed.  The singular values give s_min/s_max, the
-reciprocal condition of D; below 1e-12 the fit raises
-RankDeficientError, before any division by s, instead of silently
-degrading.  Every failure message names the evaluation point as x=...
+reciprocal condition of D; below 1e-12, as when ties leave fewer than
+degree+1 distinct abscissae, the fit raises RankDeficientError before
+any division by s.  Every failure message names the point as x=...
 """
 
 from __future__ import annotations
@@ -39,12 +39,10 @@ __all__ = [
     "EffectiveWeights",
     "WeightOperator",
     "LocalFit",
-    "CltDiagnostics",
     "effective_weights",
     "fit_at",
     "fit_on_grid",
     "weight_operator",
-    "clt_diagnostics",
 ]
 
 RCOND_MIN = 1e-12
@@ -71,13 +69,13 @@ class SmootherConfig:
 class EffectiveWeights:
     """Weights K_n(x_i) giving the intercept as sum_i w_i z_i.
 
-    ``indices`` are the positions (into the original abscissae) the
-    window touches; observations outside carry exactly zero weight.
-    ``expanded`` is set when ``expand_to_minimum`` grew a starved window.
+    ``indices`` is the window's slice of the abscissae; observations
+    outside it carry exactly zero weight.  ``expanded`` is set when
+    ``expand_to_minimum`` grew a starved window.
     """
 
     eval_point: float
-    indices: np.ndarray
+    indices: slice
     weights: np.ndarray
     expanded: bool = False
 
@@ -111,71 +109,50 @@ class LocalFit:
     fitted value at the evaluation point.  ``bandwidth`` is the window
     actually used; it exceeds the configured one only when
     ``expand_to_minimum`` grew a starved window, in which case
-    ``expanded`` is set.
+    ``weights.expanded`` is set.
     """
 
     coefficients: np.ndarray
     weights: EffectiveWeights
     condition_estimate: float
     bandwidth: float
-    expanded: bool = False
 
     @property
     def value(self) -> float:
         return float(self.coefficients[0])
 
 
-@dataclass(frozen=True)
-class CltDiagnostics:
-    """Weight concentration statistics behind the CLT conditions.
-
-    Both raw statistics should shrink like 1/(n h); the ``*_scaled``
-    fields are premultiplied by n*h so that boundedness is visible
-    directly.
-    """
-
-    max_abs_weight: float
-    sum_sq_weights: float
-    max_abs_scaled: float
-    sum_sq_scaled: float
-
-
 def _factorize(xs: np.ndarray, config: SmootherConfig, x: float, expand: bool):
-    """Support and one thin SVD of the scaled local design at x.
+    """Window and one thin SVD of the scaled local design at x.
 
     Returns (effective weights, rcond, bandwidth used, local hat matrix),
     where row q of the hat matrix maps the window's responses to the
-    coefficient of ((x - x_i)/h)^q.  The window is the positively
-    weighted points, grown by ``expand`` when needed; ties in xs count
-    once toward the degree+1 distinct-abscissae requirement.
+    coefficient of ((x - x_i)/h)^q.  The window slices xs from the first
+    to the last positively weighted point (on unsorted xs, a zero-weight
+    point inside it gets weight 0), grown by ``expand`` when needed; ties
+    short of degree+1 distinct abscissae fail the rcond check.
     """
     need = config.degree + 1
     h = config.bandwidth
-    expanded = False
     u = (x - xs) / h
     k = config.kernel(u)
-    active = np.nonzero(k > 0.0)[0]
-    distinct = np.unique(xs[active]).size
-    if distinct < need and expand:
-        dists = np.sort(np.abs(np.unique(xs) - x))
-        if dists.size >= need:
-            # nudge past the (degree+1)-th nearest distinct abscissa so
-            # the compact kernel gives it strictly positive weight
-            h = min(max(h, dists[need - 1] * (1.0 + 1e-9)), 1.0)
-            u = (x - xs) / h
-            k = config.kernel(u)
-            active = np.nonzero(k > 0.0)[0]
-            distinct = np.unique(xs[active]).size
-            expanded = True
-    if distinct < need:
-        raise InsufficientSupportError(
-            f"{active.size} positively weighted points "
-            f"({distinct} distinct) at x={x} with h={h}; need {need}"
-        )
-    sqrt_w = np.sqrt(k[active])
-    design = np.vander(u[active], need, increasing=True) * sqrt_w[:, None]
+    active = np.flatnonzero(k > 0.0)
+    expanded = active.size < need and expand and xs.size >= need
+    if expanded:
+        # nudge past the (degree+1)-th nearest abscissa so the compact
+        # kernel gives it strictly positive weight
+        h = min(max(h, np.sort(np.abs(xs - x))[need - 1] * (1.0 + 1e-9)), 1.0)
+        u = (x - xs) / h
+        k = config.kernel(u)
+        active = np.flatnonzero(k > 0.0)
+    if active.size < need:
+        raise InsufficientSupportError(f"{active.size} positively weighted points "
+                                       f"at x={x} with h={h}; need {need}")
+    window = slice(int(active[0]), int(active[-1]) + 1)
+    sqrt_w = np.sqrt(k[window])
+    design = np.vander(u[window], need, increasing=True) * sqrt_w[:, None]
     left, sv, right_t = np.linalg.svd(design, full_matrices=False)
-    # column 0 of the design is sqrt_w > 0, so sv[0] > 0
+    # column 0 of the design is sqrt_w, positive at both ends, so sv[0] > 0
     rcond = float(sv[-1] / sv[0])
     if rcond < RCOND_MIN:
         raise RankDeficientError(
@@ -184,7 +161,7 @@ def _factorize(xs: np.ndarray, config: SmootherConfig, x: float, expand: bool):
     hat = (right_t.T / sv) @ (left.T * sqrt_w)
     # a copy, so that a stored operator keeps one row, not the whole hat
     weights = EffectiveWeights(
-        eval_point=float(x), indices=active, weights=hat[0].copy(),
+        eval_point=float(x), indices=window, weights=hat[0].copy(),
         expanded=expanded,
     )
     return weights, rcond, h, hat
@@ -210,18 +187,19 @@ def fit_at(
     Parameters
     ----------
     xs, zs : array_like, same length
-        Abscissae and responses.  xs need not be sorted.
+        Abscissae and responses.  xs need not be sorted; the window is
+        the slice from the first to the last positively weighted point.
     config : SmootherConfig
     x : float
         Evaluation point.
     expand_to_minimum : bool
-        Grow the window to the (degree+1)-nearest distinct abscissa when
-        the configured bandwidth leaves the fit underdetermined; the
-        expansion is recorded on the returned fit.
+        Grow the window to the (degree+1)-th nearest abscissa when fewer
+        than degree+1 points carry weight; ``weights.expanded`` records it.
 
     Raises
     ------
     InsufficientSupportError, RankDeficientError
+        The latter also when ties leave < degree+1 distinct abscissae.
     """
     xs = np.asarray(xs, dtype=float)
     zs = np.asarray(zs, dtype=float)
@@ -235,7 +213,6 @@ def fit_at(
         weights=weights,
         condition_estimate=rcond,
         bandwidth=h,
-        expanded=weights.expanded,
     )
 
 
@@ -277,15 +254,3 @@ def weight_operator(
                     for x in grid)
     return WeightOperator(grid=grid, weights=weights)
 
-
-def clt_diagnostics(weights: EffectiveWeights, n: int, h: float) -> CltDiagnostics:
-    """Max and sum-of-squares of the effective weights, raw and nh-scaled."""
-    w = weights.weights
-    max_abs = float(np.max(np.abs(w)))
-    sum_sq = float(w @ w)
-    return CltDiagnostics(
-        max_abs_weight=max_abs,
-        sum_sq_weights=sum_sq,
-        max_abs_scaled=max_abs * n * h,
-        sum_sq_scaled=sum_sq * n * h,
-    )

@@ -169,6 +169,34 @@ class TestEstimate:
         assert os.listdir(tmp_path) == ["data.csv"]
 
 
+class TestOutputFiles:
+    def test_every_output_file_has_the_mode_open_gives(self, tmp_path):
+        # under umask 022, open() makes 644 files; a private temp file
+        # renamed into place would stay 600
+        inp = tmp_path / "data.csv"
+        write_sample_csv(inp, n=200)
+        runs = [
+            ["estimate", "--input", str(inp), "--output",
+             str(tmp_path / "curve.csv"), "--bandwidth", "0.2"],
+            _SIM + ["--output", str(tmp_path / "sim.json")],
+            _RATES + ["--output", str(tmp_path / "rates.json")],
+            _NORM + ["--output", str(tmp_path / "norm.json"),
+                     "--draws-out", str(tmp_path / "draws.csv")],
+        ]
+        umask = os.umask(0o022)
+        try:
+            with open(tmp_path / "reference", "w"):
+                pass
+            for argv in runs:
+                assert main(argv) == 0
+        finally:
+            os.umask(umask)
+        want = oct((tmp_path / "reference").stat().st_mode)
+        for name in ("curve.csv", "curve.json", "sim.json", "rates.json",
+                     "norm.json", "draws.csv"):
+            assert oct((tmp_path / name).stat().st_mode) == want, name
+
+
 class TestSimulate:
     def test_json_report(self, tmp_path):
         out = tmp_path / "report.json"
@@ -444,6 +472,9 @@ class TestFlagValues:
         _RATES + ["--scale", "inf"],
         _SIM[:-1] + ["rate", "--gamma", "inf"],
         _SIM[:-1] + ["rate", "--gamma", "2", "--scale", "inf"],
+        ["simulate", "--n", "300", "--replications", "3", "--seed", "1",
+         "--x0", "0.5", "--no-global", "--bandwidth", "0.2",
+         "--error-law", "gaussian", "--df", "5"],
     ])
     def test_out_of_range_values_are_usage_errors(self, tmp_path, capsys, argv):
         if argv[0] == "estimate":

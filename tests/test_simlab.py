@@ -81,6 +81,11 @@ class TestErrorLaw:
         with pytest.raises(BadScenarioError):
             ErrorLaw("laplace")
 
+    @pytest.mark.parametrize("kind", ["gaussian", "scaled_uniform"])
+    def test_df_applies_only_to_student_t(self, kind):
+        with pytest.raises(BadScenarioError, match="df applies only to student_t"):
+            ErrorLaw(kind, df=5.0)
+
     @pytest.mark.parametrize("law", [
         ErrorLaw("gaussian"),
         ErrorLaw("scaled_uniform"),
@@ -270,7 +275,8 @@ class TestBoundEstimator:
             expected = np.array([fit.value for fit in fits])
             np.testing.assert_allclose(est(sample, grid), expected,
                                        rtol=1e-12, atol=0)
-        expanded = tuple(fit.weights.eval_point for fit in fits if fit.expanded)
+        expanded = tuple(fit.weights.eval_point for fit in fits
+                         if fit.weights.expanded)
         assert 0.5 in np.round(expanded, 12)
         estimate = estimate_variance(sample, FD, smoother_config, grid,
                                      expand_to_minimum=True)
@@ -329,7 +335,7 @@ class TestBoundEstimator:
                         grid=np.linspace(0.05, 0.95, 19))
         # the message every replication recorded before weights were shared
         message = ("InsufficientSupportError: 0 positively weighted points "
-                   "(0 distinct) at x=0.44999999999999996 with h=0.05; need 2")
+                   "at x=0.44999999999999996 with h=0.05; need 2")
         assert seen == [[(i, message) for i in range(6)]]
 
 
@@ -472,6 +478,15 @@ class TestRiskReport:
         block = json.dumps(json.loads(dump_json(report))["scenario"],
                            indent=2, sort_keys=True)
         assert block == json.dumps(expected, indent=2, sort_keys=True)
+
+    def test_numpy_integer_seed_is_recorded_as_the_int(self):
+        scen = smooth_scenario(300)
+        est = EstimatorConfig(FD, SmootherConfig(0.25, 1))
+        reports = [risk_report(scen, est, 5, seed, points=(0.5,), include_global=False)
+                   for seed in (5, np.int64(5), np.random.SeedSequence(5))]
+        assert dump_json(reports[1]) == dump_json(reports[0])
+        assert json.loads(dump_json(reports[1]))["seed"] == 5
+        assert reports[2].seed == -1
 
     def test_overflowing_contrasts_fail_every_replication(self):
         scen = Scenario("huge-mean", function_spec("sine", offset=0.0, amplitude=1e200),

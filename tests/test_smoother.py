@@ -9,7 +9,6 @@ from diffvar.kernels import KERNEL_KINDS, KernelSpec, kernel
 from diffvar.smoother import (
     RCOND_MIN,
     SmootherConfig,
-    clt_diagnostics,
     effective_weights,
     fit_at,
     fit_on_grid,
@@ -49,7 +48,7 @@ def test_matches_normal_equations_oracle():
             fit = fit_at(xs, zs, config, x)
             coefs, idx, weights = wls_oracle(xs, zs, config, x)
             assert np.allclose(fit.coefficients, coefs, rtol=1e-7, atol=1e-9)
-            assert np.array_equal(fit.weights.indices, idx)
+            assert np.array_equal(np.arange(xs.size)[fit.weights.indices], idx)
             assert np.allclose(fit.weights.weights, weights, atol=1e-9)
 
 
@@ -129,36 +128,35 @@ def test_equispaced_uniform_degree_zero_weights_are_equal():
     assert in_window == 40
     assert fit.weights.weights.size == in_window
     assert np.allclose(fit.weights.weights, 1.0 / in_window, atol=1e-12)
-    diag = clt_diagnostics(fit.weights, n, 0.2)
-    assert diag.max_abs_weight == pytest.approx(1.0 / in_window, abs=1e-12)
-    assert diag.sum_sq_weights == pytest.approx(1.0 / in_window, abs=1e-12)
-    assert diag.max_abs_scaled == pytest.approx(n * 0.2 / in_window, rel=1e-10)
+    w = fit.weights.weights
+    max_abs = np.max(np.abs(w))
+    assert max_abs == pytest.approx(1.0 / in_window, abs=1e-12)
+    assert w @ w == pytest.approx(1.0 / in_window, abs=1e-12)
+    assert max_abs * n * 0.2 == pytest.approx(n * 0.2 / in_window, rel=1e-10)
 
 
 def test_single_point_window_degenerate():
     xs = np.array([0.2, 0.5, 0.8])
     w = effective_weights(xs, SmootherConfig(0.1, 0, kernel("uniform")), 0.5)
-    diag = clt_diagnostics(w, 3, 0.1)
-    assert diag.max_abs_weight == pytest.approx(1.0)
-    assert diag.sum_sq_weights == pytest.approx(1.0)
+    assert np.max(np.abs(w.weights)) == pytest.approx(1.0)
+    assert w.weights @ w.weights == pytest.approx(1.0)
 
 
 def test_clt_statistics_scale_inversely_with_n():
+    # max |w_i| and sum w_i^2 both concentrate like 1/(n h)
     h = 0.15
     config = SmootherConfig(h, 1)
     stats = {}
     for n in (200, 400, 800):
         xs = np.arange(1, n + 1) / (n + 1)
-        w = effective_weights(xs, config, 0.5)
-        stats[n] = clt_diagnostics(w, n, h)
+        w = effective_weights(xs, config, 0.5).weights
+        stats[n] = np.array([np.max(np.abs(w)), w @ w])
     for a, b in ((200, 400), (400, 800)):
-        for attr in ("max_abs_weight", "sum_sq_weights"):
-            ratio = getattr(stats[a], attr) / getattr(stats[b], attr)
-            assert 2.0 / 1.2 < ratio < 2.0 * 1.2
+        ratio = stats[a] / stats[b]
+        assert np.all((2.0 / 1.2 < ratio) & (ratio < 2.0 * 1.2))
         # the nh-scaled versions should be nearly flat
-        for attr in ("max_abs_scaled", "sum_sq_scaled"):
-            ratio = getattr(stats[a], attr) / getattr(stats[b], attr)
-            assert 1 / 1.3 < ratio < 1.3
+        scaled = (stats[a] * a * h) / (stats[b] * b * h)
+        assert np.all((1 / 1.3 < scaled) & (scaled < 1.3))
 
 
 def test_insufficient_support():
@@ -172,8 +170,35 @@ def test_ties_count_once():
     zs = np.array([1.0, 1.0, 2.0])
     fit = fit_at(xs, zs, SmootherConfig(0.25, 1), 0.5)  # 2 distinct points
     assert np.isfinite(fit.value)
-    with pytest.raises(InsufficientSupportError):
-        fit_at(xs, zs, SmootherConfig(0.25, 2), 0.5)  # needs 3 distinct
+    # three weighted points but two distinct abscissae: the degree-2
+    # design has rank 2, which the rcond check catches
+    with pytest.raises(RankDeficientError):
+        fit_at(xs, zs, SmootherConfig(0.25, 2), 0.5)
+
+
+@pytest.mark.parametrize("degree", range(4))
+def test_permuted_design_gives_the_same_fit_and_weights(degree):
+    # the window is one slice; on an unsorted design it also holds
+    # zero-kernel points, whose zero design rows give them weight 0.0
+    rng = np.random.default_rng(300 + degree)
+    for kind in KERNEL_KINDS:
+        xs = random_design(rng)
+        zs = rng.standard_normal(xs.size)
+        perm = rng.permutation(xs.size)
+        config = SmootherConfig(0.25, degree, kernel(kind))
+        for x in (0.0, rng.uniform(0.2, 0.8), 1.0):
+            fit = fit_at(xs, zs, config, x)
+            shuffled = fit_at(xs[perm], zs[perm], config, x)
+            assert shuffled.value == pytest.approx(fit.value, rel=1e-10)
+            full, full_shuffled = np.zeros(xs.size), np.zeros(xs.size)
+            full[fit.weights.indices] = fit.weights.weights
+            full_shuffled[shuffled.weights.indices] = shuffled.weights.weights
+            assert (np.max(np.abs(full_shuffled - full[perm]))
+                    <= 1e-10 * np.max(np.abs(full)))
+            window = shuffled.weights.indices
+            outside = config.kernel((x - xs[perm][window]) / config.bandwidth) == 0.0
+            assert outside.any()
+            assert np.all(shuffled.weights.weights[outside] == 0.0)
 
 
 def test_expand_to_minimum():
@@ -183,7 +208,7 @@ def test_expand_to_minimum():
     with pytest.raises(InsufficientSupportError):
         fit_at(xs, zs, config, 0.5)
     fit = fit_at(xs, zs, config, 0.5, expand_to_minimum=True)
-    assert fit.expanded
+    assert fit.weights.expanded
     assert fit.bandwidth > config.bandwidth
     assert fit.value == pytest.approx(1.0 + 2.0 * 0.5, rel=1e-9)
 
@@ -255,7 +280,7 @@ def test_one_kernel_evaluation_and_one_svd_per_grid_point(monkeypatch):
     fit_on_grid(xs, np.ones(xs.size), SmootherConfig(0.2, 2), grid)
     weight_operator(xs, SmootherConfig(0.2, 2), grid)
     # no window here needs expanding, so nothing is evaluated twice
-    assert Counter(calls) == {"__call__": 10, "svd": 10, "unique": 10}
+    assert Counter(calls) == {"__call__": 10, "svd": 10}
 
 
 def test_fit_on_grid_matches_fit_at():
@@ -300,6 +325,18 @@ def test_weight_operator_applies_the_grid_fits():
         fitted = [fit.value for fit in fit_on_grid(xs, zs, config, grid)]
         np.testing.assert_allclose(op.apply(zs), fitted, rtol=1e-12, atol=0)
         assert op.expanded_points == ()
+
+
+def test_weight_operator_rows_slice_exactly_the_weighted_points():
+    rng = np.random.default_rng(12)
+    xs = random_design(rng)
+    grid = np.linspace(0.0, 1.0, 21)
+    for kind in KERNEL_KINDS:
+        config = SmootherConfig(0.1, 1, kernel(kind))
+        for x, w in zip(grid, weight_operator(xs, config, grid).weights):
+            assert isinstance(w.indices, slice)
+            positive = np.flatnonzero(config.kernel((x - xs) / config.bandwidth) > 0)
+            assert np.array_equal(np.arange(xs.size)[w.indices], positive)
 
 
 def test_weight_operator_records_expansion_and_tags_failures():
