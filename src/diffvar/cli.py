@@ -6,16 +6,19 @@ experiment), ``normality`` (shape diagnostics), ``diffseq`` (sequence
 construction and validation).
 
 Exit codes: 0 success, 1 bad flags or scenario setup, 2 malformed
-input, 3 computation failure.  Simulation subcommands require an
-explicit --seed; nothing is ever wall-clock seeded.  Outputs are
-written atomically (temp file + rename), so error paths leave no
-partial files.
+input, 3 computation failure.  Every numeric flag is parsed and
+range-checked by its argparse type, so a bad value exits 1 with one
+line naming the flag.  Simulation subcommands require an explicit
+--seed, a non-negative integer; nothing is ever wall-clock seeded.
+Outputs are written atomically (temp file + rename), so error paths
+leave no partial files.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from pathlib import Path
@@ -134,14 +137,11 @@ def _resolve_sequence(args) -> diffseq.DifferenceSequence:
             raise _InputError(f"{args.sequence_file}: {exc}") from exc
     if args.sequence == "optimal":
         return _optimal_sequence(args.order, "--order")
-    if args.sequence in ("first_difference", "gsjs"):
-        return diffseq.standard_sequence(args.sequence)
-    raise _UsageError(f"unknown sequence {args.sequence!r}")
+    return diffseq.standard_sequence(args.sequence)  # argparse checked the name
 
 
 def _optimal_sequence(order: int, flag: str) -> diffseq.DifferenceSequence:
-    """The optimal sequence of a flag's order; a bad order is a usage error."""
-    _require(order >= 1, f"{flag} must be >= 1")
+    """The optimal sequence of a flag's order; a huge order is a usage error."""
     try:
         return diffseq.optimal_sequence(order)
     except BadParameterError as exc:
@@ -149,20 +149,37 @@ def _optimal_sequence(order: int, flag: str) -> diffseq.DifferenceSequence:
 
 
 def _require(ok: bool, message: str) -> None:
-    """Reject a flag value as a usage error before the library sees it."""
+    """Reject a combination of flags as a usage error before the library sees it."""
     if not ok:
         raise _UsageError(message)
 
 
-def _require_unit_point(value: float, flag: str) -> None:
-    _require(0.0 <= value <= 1.0, f"{flag} must be in [0, 1], got {value}")
+def _require_integrable(args, integrated: bool) -> None:
+    _require(not integrated or args.grid_size >= 2,
+             "--grid-size must be >= 2 for the integrated risk")
 
 
-def _check_replicated(args, min_replications: int) -> None:
-    """Flags shared by the replicated experiments."""
-    _require(args.replications >= min_replications,
-             f"--replications must be >= {min_replications}")
-    _require(args.degree is None or args.degree >= 0, "--degree must be >= 0")
+def _checked(parse, ok, rule: str):
+    """An argparse type: parse the text, then require ``ok(value)``.
+
+    argparse turns either failure into a usage error naming the flag.
+    """
+    def convert(text):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    convert.__name__ = parse.__name__  # argparse says "invalid int value"
+    return convert
+
+
+def _at_least(low: int):
+    return _checked(int, lambda v: v >= low, f">= {low}")
+
+
+_UNIT_POINT = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
 
 
 def _add_sequence_flags(parser) -> None:
@@ -170,7 +187,7 @@ def _add_sequence_flags(parser) -> None:
         "--sequence", default="first_difference",
         choices=["first_difference", "gsjs", "optimal"],
         help="difference sequence (optimal uses --order)")
-    parser.add_argument("--order", type=int, default=2,
+    parser.add_argument("--order", type=_at_least(1), default=2,
                         help="order r for --sequence optimal")
     parser.add_argument("--sequence-file", default=None,
                         help="JSON array of explicit coefficients")
@@ -179,60 +196,52 @@ def _add_sequence_flags(parser) -> None:
 
 def _add_estimator_flags(parser, bandwidth_modes: str) -> None:
     _add_sequence_flags(parser)
-    parser.add_argument("--degree", type=int, default=1)
+    parser.add_argument("--degree", type=_at_least(0), default=1)
     parser.add_argument("--bandwidth", default=None, required=True,
                         help=f"bandwidth: a number or one of {{{bandwidth_modes}}}")
-    parser.add_argument("--gamma", type=float, default=None,
+    parser.add_argument("--gamma", type=_POSITIVE, default=None,
                         help="smoothness exponent for --bandwidth rate")
-    parser.add_argument("--scale", type=float, default=1.0,
+    parser.add_argument("--scale", type=_POSITIVE, default=1.0,
                         help="scale constant for --bandwidth rate")
 
 
 def _fixed_bandwidth(args, n: int) -> float:
     if args.bandwidth == "rate":
-        if args.gamma is None:
-            raise _UsageError("--bandwidth rate requires --gamma")
-        _require(0 < args.gamma < np.inf, "--gamma must be finite and > 0")
-        _require(0 < args.scale < np.inf, "--scale must be finite and > 0")
+        _require(args.gamma is not None, "--bandwidth rate requires --gamma")
         return bw.rate_optimal_bandwidth(n, args.gamma, args.scale)
     try:
         h = float(args.bandwidth)
     except ValueError:
         raise _UsageError(f"bad --bandwidth {args.bandwidth!r}") from None
-    if not 0.0 < h <= 1.0:
-        raise _UsageError("fixed bandwidth must be in (0, 1]")
+    _require(0.0 < h <= 1.0, "fixed bandwidth must be in (0, 1]")
     return h
+
+
+def _smoother(args, h: float) -> SmootherConfig:
+    return SmootherConfig(h, args.degree, kernel(args.kernel))
 
 
 # --- subcommands -----------------------------------------------------------
 
 def _cmd_estimate(args) -> int:
-    _require(args.degree >= 0, "--degree must be >= 0")
-    _require(args.grid_size >= 1, "--grid-size must be >= 1")
-    _require(args.bandwidth != "cv" or args.folds >= 2,
-             "--folds must be >= 2 with --bandwidth cv")
     sample = _read_sample_csv(args.input)
     seq = _resolve_sequence(args)
-    if not 0.0 <= args.grid_min < args.grid_max <= 1.0:
-        raise _UsageError("need 0 <= grid-min < grid-max <= 1")
+    _require(args.grid_min < args.grid_max, "--grid-min must be below --grid-max")
     grid = np.linspace(args.grid_min, args.grid_max, args.grid_size)
 
     cv_report = None
     if args.bandwidth == "cv":
-        if args.seed is None:
-            raise _UsageError("--bandwidth cv requires --seed")
-        base = SmootherConfig(0.25, args.degree, kernel(args.kernel))
+        _require(args.seed is not None, "--bandwidth cv requires --seed")
         cv_report = bw.cv_select(
-            sample, seq, base, bw.default_grid(sample),
+            sample, seq, _smoother(args, 0.25), bw.default_grid(sample),
             folds=args.folds, seed=args.seed,
         )
         h = cv_report.selected
     else:
         h = _fixed_bandwidth(args, sample.n)
 
-    config = SmootherConfig(h, args.degree, kernel(args.kernel))
     estimate = estimate_variance(
-        sample, seq, config, grid, expand_to_minimum=args.expand
+        sample, seq, _smoother(args, h), grid, expand_to_minimum=args.expand
     )
 
     lines = ["x,vhat"]
@@ -279,27 +288,15 @@ def _build_scenario(args) -> simlab.Scenario:
         raise _UsageError(str(exc)) from exc
 
 
-def _check_risk_flags(args, integrated: bool) -> None:
-    _check_replicated(args, 2)
-    _require(0.0 <= args.margin < 0.5, "--margin must be in [0, 0.5)")
-    _require(not integrated or args.grid_size >= 2,
-             "--grid-size must be >= 2 for the integrated risk")
-
-
 def _cmd_simulate(args) -> int:
-    _check_risk_flags(args, not args.no_global)
-    for x0 in args.x0 or []:
-        _require_unit_point(x0, "--x0")
+    _require_integrable(args, not args.no_global)
     h = _fixed_bandwidth(args, args.n)
     scenario = _build_scenario(args)
     seq = _resolve_sequence(args)
-    est = simlab.EstimatorConfig(
-        sequence=seq,
-        smoother=SmootherConfig(h, args.degree, kernel(args.kernel)),
-    )
+    est = simlab.EstimatorConfig(sequence=seq, smoother=_smoother(args, h))
     points = args.x0 or []
-    if not points and args.no_global:
-        raise _UsageError("nothing to simulate: no --x0 and --no-global")
+    _require(points or not args.no_global,
+             "nothing to simulate: no --x0 and --no-global")
     report = simlab.risk_report(
         scenario, est, args.replications, args.seed,
         points=points, include_global=not args.no_global,
@@ -311,13 +308,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_rates(args) -> int:
     ns = sorted(set(args.n))
-    if len(ns) < 4:
-        raise _UsageError("need at least 4 distinct --n values")
-    _require(0 < args.gamma < np.inf, "--gamma must be finite and > 0")
-    _require(0 < args.scale < np.inf, "--scale must be finite and > 0")
-    if args.pointwise is not None:
-        _require_unit_point(args.pointwise, "--pointwise")
-    _check_risk_flags(args, args.pointwise is None)
+    _require(len(ns) >= 4, "need at least 4 distinct --n values")
+    _require_integrable(args, args.pointwise is None)
     seq = _resolve_sequence(args)
     schedule = simlab.rate_schedule(
         seq, args.gamma, args.scale, degree=args.degree, kernel_spec=kernel(args.kernel)
@@ -337,9 +329,6 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_normality(args) -> int:
-    _check_replicated(args, 500)
-    _require_unit_point(args.x0, "--x0")
-    _require(args.undersmooth_scale > 0, "--undersmooth-scale must be > 0")
     try:
         law = simlab.ErrorLaw(args.error_law, df=args.df)
         scenario = simlab.smooth_scenario(args.n, error_law=law)
@@ -347,10 +336,7 @@ def _cmd_normality(args) -> int:
         raise _UsageError(str(exc)) from exc
     seq = _resolve_sequence(args)
     h = min(args.undersmooth_scale * args.n ** (-0.3), 0.5)
-    est = simlab.EstimatorConfig(
-        sequence=seq,
-        smoother=SmootherConfig(h, args.degree, kernel(args.kernel)),
-    )
+    est = simlab.EstimatorConfig(sequence=seq, smoother=_smoother(args, h))
     report = simlab.normality_experiment(scenario, est, args.x0,
                                          args.replications, args.seed)
     _emit(dump_json(report), args.output)
@@ -395,95 +381,91 @@ def _build_parser() -> _Parser:
                      description="Difference-based variance function estimation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("estimate", parents=[], help="fit a variance curve to a CSV")
+    # flags shared by several subcommands, each declared once
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_at_least(0), required=True)
+    law = argparse.ArgumentParser(add_help=False)
+    law.add_argument("--error-law", default="gaussian",
+                     choices=["gaussian", "scaled_uniform", "student_t"])
+    law.add_argument("--df", type=float, default=None)
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--margin", default=0.05,
+                      type=_checked(float, lambda v: 0.0 <= v < 0.5, "in [0, 0.5)"))
+    grid.add_argument("--grid-size", type=_at_least(1), default=101)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default=None)
+
+    p = sub.add_parser("estimate", help="fit a variance curve to a CSV")
     p.add_argument("--input", required=True, help="CSV with header x,y")
     p.add_argument("--output", required=True, help="CSV x,vhat (JSON sidecar added)")
     _add_estimator_flags(p, "cv,rate")
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--grid-size", type=int, default=101)
-    p.add_argument("--grid-min", type=float, default=0.05)
-    p.add_argument("--grid-max", type=float, default=0.95)
+    p.add_argument("--folds", type=_at_least(2), default=5)
+    p.add_argument("--seed", type=_at_least(0), default=None)
+    p.add_argument("--grid-size", type=_at_least(1), default=101)
+    p.add_argument("--grid-min", type=_UNIT_POINT, default=0.05)
+    p.add_argument("--grid-max", type=_UNIT_POINT, default=0.95)
     p.add_argument("--expand", action="store_true",
                    help="grow starved windows to the minimum viable bandwidth")
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("simulate", help="risk report for one scenario")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--replications", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p = sub.add_parser("simulate", parents=[seeded, law, grid, output],
+                       help="risk report for one scenario")
+    p.add_argument("--n", type=_at_least(2), required=True)
+    p.add_argument("--replications", type=_at_least(2), required=True)
     p.add_argument("--mean", default="sine:offset=2,amplitude=1")
     p.add_argument("--variance", default="sine:offset=0.5,amplitude=0.25")
-    p.add_argument("--error-law", default="gaussian",
-                   choices=["gaussian", "scaled_uniform", "student_t"])
-    p.add_argument("--df", type=float, default=None)
-    p.add_argument("--x0", type=float, action="append",
+    p.add_argument("--x0", type=_UNIT_POINT, action="append",
                    help="pointwise risk location (repeatable)")
     p.add_argument("--no-global", action="store_true")
-    p.add_argument("--margin", type=float, default=0.05)
-    p.add_argument("--grid-size", type=int, default=101)
-    p.add_argument("--output", default=None)
     _add_estimator_flags(p, "rate")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("rates", help="convergence-slope experiment")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--n", type=int, action="append", required=True,
+    p = sub.add_parser("rates", parents=[seeded, grid, output],
+                       help="convergence-slope experiment")
+    p.add_argument("--gamma", type=_POSITIVE, required=True)
+    p.add_argument("--n", type=_at_least(2), action="append", required=True,
                    help="sample size (repeat >= 4 times)")
-    p.add_argument("--replications", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--replications", type=_at_least(2), required=True)
+    p.add_argument("--scale", type=_POSITIVE, default=1.0)
     _add_sequence_flags(p)
-    p.add_argument("--degree", type=int, default=None,
+    p.add_argument("--degree", type=_at_least(0), default=None,
                    help="default: floor(gamma) + 1")
-    p.add_argument("--pointwise", type=float, default=None,
+    p.add_argument("--pointwise", type=_UNIT_POINT, default=None,
                    help="measure pointwise risk at this x0 instead of global")
-    p.add_argument("--margin", type=float, default=0.05)
-    p.add_argument("--grid-size", type=int, default=101)
-    p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_rates)
 
-    p = sub.add_parser("normality", help="replication-shape diagnostics")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--replications", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--x0", type=float, default=0.5)
-    p.add_argument("--undersmooth-scale", type=float, default=4.4,
+    p = sub.add_parser("normality", parents=[seeded, law, output],
+                       help="replication-shape diagnostics")
+    p.add_argument("--n", type=_at_least(2), required=True)
+    p.add_argument("--replications", type=_at_least(500), required=True)
+    p.add_argument("--x0", type=_UNIT_POINT, default=0.5)
+    p.add_argument("--undersmooth-scale", type=_POSITIVE, default=4.4,
                    help="bandwidth = scale * n^(-0.3), capped at 0.5")
-    p.add_argument("--error-law", default="gaussian",
-                   choices=["gaussian", "scaled_uniform", "student_t"])
-    p.add_argument("--df", type=float, default=None)
     _add_sequence_flags(p)
-    p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--output", default=None)
+    p.add_argument("--degree", type=_at_least(0), default=1)
     p.add_argument("--draws-out", default=None,
                    help="also write raw replication draws as CSV")
     p.set_defaults(func=_cmd_normality)
 
-    p = sub.add_parser("diffseq", help="construct or validate difference sequences")
-    p.add_argument("--optimal", type=int, default=None, metavar="R",
+    p = sub.add_parser("diffseq", parents=[output],
+                       help="construct or validate difference sequences")
+    p.add_argument("--optimal", type=_at_least(1), default=None, metavar="R",
                    help="compute the variance-minimizing order-R sequence")
     p.add_argument("--standard", default=None,
                    choices=["first_difference", "gsjs"])
     p.add_argument("--validate", default=None, metavar="C0,C1,...",
                    help="check a comma-separated coefficient list")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_diffseq)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    # bad flags, flag combinations and scenario parameters are usage
+    # errors; anything raised after inputs are resolved is an input or
+    # computation failure
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    try:
-        # setup errors (bad flag combinations, bad scenario parameters)
-        # are usage errors; anything raised after inputs are resolved is
-        # an input or computation failure
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)

@@ -22,6 +22,7 @@ from .errors import (
     DegenerateEndpointError,
     NonPositiveOrderError,
     NormNotOneError,
+    SequenceError,
     SumNotZeroError,
     TooShortError,
     UnknownKindError,
@@ -52,9 +53,14 @@ class DifferenceSequence:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
+        try:
+            coeffs = np.asarray(self.coeffs, dtype=float)
+        except (TypeError, ValueError):
+            coeffs = None
+        if coeffs is None or coeffs.ndim != 1:
+            raise SequenceError("coefficients must be a flat list of numbers")
         object.__setattr__(self, "coeffs", coeffs)
-        if coeffs.ndim != 1 or coeffs.size < 2:
+        if coeffs.size < 2:
             raise TooShortError(
                 f"need at least two coefficients, got {coeffs.size}"
             )
@@ -83,9 +89,10 @@ def validate(coeffs) -> DifferenceSequence:
     """Check the defining constraints and wrap the coefficients.
 
     Raises TooShortError, SumNotZeroError, NormNotOneError or
-    DegenerateEndpointError when the corresponding constraint fails.
+    DegenerateEndpointError when the corresponding constraint fails, and
+    SequenceError when the coefficients are not a flat list of numbers.
     """
-    return DifferenceSequence(np.asarray(coeffs, dtype=float))
+    return DifferenceSequence(coeffs)
 
 
 def standard_sequence(kind: str) -> DifferenceSequence:

@@ -314,7 +314,7 @@ def generate_sample(scenario: Scenario, seed) -> Sample:
     simulate degenerate cases such as exactly noise-free data.  The
     experiments draw the same samples without re-evaluating the design.
     """
-    return _draw(scenario, _design(scenario), seed)
+    return _draw(scenario, _design(scenario), _seed_sequence(seed))
 
 
 # --- estimators as callables ---------------------------------------------
@@ -328,8 +328,12 @@ def _describe(estimator) -> dict | str:
 # --- replication engine ---------------------------------------------------
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
+    """A master seed: a non-negative integer or a SeedSequence, never entropy."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise BadParameterError(
+            f"seed must be a non-negative integer or a SeedSequence, got {seed!r}")
     return np.random.SeedSequence(seed)
 
 
@@ -384,13 +388,6 @@ def _summarize(values: list, failures) -> RiskValue:
     )
 
 
-def _integration_grid(grid) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 2:
-        raise BadParameterError(f"integrated risk needs >= 2 grid points, got {grid.size}")
-    return grid
-
-
 def _margin_grid(margin: float, grid_size: int) -> np.ndarray:
     """The default integration grid: grid_size points on [margin, 1 - margin]."""
     if not 0.0 <= margin < 0.5:
@@ -424,15 +421,15 @@ def pointwise_risk(
 
 def global_risk(
     scenario: Scenario, estimator, replications: int, seed,
-    grid=None, margin: float = 0.05, grid_size: int = 101,
+    margin: float = 0.05, grid_size: int = 101,
 ) -> RiskValue:
     """Trapezoidal integrated squared error, averaged over replications.
 
-    The default grid covers [margin, 1 - margin]; pass margin=0 (or an
-    explicit grid) for the full interval.  The grid needs at least 2
-    points: the trapezoid rule over one point is identically zero.
+    The grid has grid_size points on [margin, 1 - margin]; pass margin=0
+    for the full interval.  It needs at least 2 points: the trapezoid
+    rule over one point is identically zero.
     """
-    grid = _margin_grid(margin, grid_size) if grid is None else _integration_grid(grid)
+    grid = _margin_grid(margin, grid_size)
     v_true = np.asarray(scenario.var_fn(grid), dtype=float)
 
     def rep(sample):
@@ -487,8 +484,8 @@ def risk_report(
     """Bundle pointwise risks at ``points`` and optionally the global risk."""
     if not points and not include_global:
         raise BadParameterError("nothing to do: no points and no global risk")
-    # a bad margin or grid size fails before any replication runs
-    grid = _margin_grid(margin, grid_size) if include_global else None
+    if include_global:  # a bad margin or grid size fails before any replication
+        _margin_grid(margin, grid_size)
     ss = _seed_sequence(seed).spawn(len(tuple(points)) + 1)
     pw = {}
     for k, x0 in enumerate(points):
@@ -496,7 +493,7 @@ def risk_report(
                                        replications, ss[k])
     gr = None
     if include_global:
-        gr = global_risk(scenario, estimator, replications, ss[-1], grid=grid)
+        gr = global_risk(scenario, estimator, replications, ss[-1], margin, grid_size)
     return RiskReport(
         scenario=scenario.to_dict(),
         estimator=_describe(estimator),

@@ -150,7 +150,9 @@ def _factorize(xs: np.ndarray, config: SmootherConfig, x: float, expand: bool):
                                        f"at x={x} with h={h}; need {need}")
     window = slice(int(active[0]), int(active[-1]) + 1)
     sqrt_w = np.sqrt(k[window])
-    design = np.vander(u[window], need, increasing=True) * sqrt_w[:, None]
+    # weighted |u| <= 1; a zero-weight u**degree (unsorted xs) may overflow to inf
+    u_window = u[window].clip(-1.0, 1.0)
+    design = np.vander(u_window, need, increasing=True) * sqrt_w[:, None]
     left, sv, right_t = np.linalg.svd(design, full_matrices=False)
     # column 0 of the design is sqrt_w, positive at both ends, so sv[0] > 0
     rcond = float(sv[-1] / sv[0])

@@ -373,6 +373,17 @@ class TestDiffseq:
         assert "sum to nan" in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        '{"a": 1}', '["a", "b"]', "[[0.7071067811865476, -0.7071067811865476]]", "null",
+    ])
+    def test_malformed_sequence_file_is_input_error(self, tmp_path, capsys, text):
+        seq = tmp_path / "seq.json"
+        seq.write_text(text)
+        assert main(_SIM + ["--sequence-file", str(seq)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "flat list of numbers" in err[0]
+
     def test_exactly_one_mode(self):
         assert main(["diffseq"]) == 1
         assert main(["diffseq", "--optimal", "2", "--standard", "gsjs"]) == 1
@@ -429,6 +440,17 @@ _RATES = ["rates", "--gamma", "2", "--n", "100", "--n", "200", "--n", "300",
 _NORM = ["normality", "--n", "200", "--replications", "500", "--seed", "1"]
 
 
+# argv that a flag's parse-time check rejects, with the flag it names
+_NAMED_FLAG = [
+    (_SIM + ["--seed", "-1"], "--seed"),
+    (_RATES + ["--seed", "-1"], "--seed"),
+    (_NORM + ["--seed", "-1"], "--seed"),
+    (_SIM[:-1] + ["rate", "--gamma", "2", "--n", "1"], "--n"),
+    (_RATES + ["--n", "1"], "--n"),
+    (["estimate", "--bandwidth", "0.2", "--folds", "1"], "--folds"),
+]
+
+
 class TestFlagValues:
     @pytest.mark.parametrize("argv", [
         ["estimate", "--bandwidth", "0.2", "--grid-size", "0"],
@@ -475,6 +497,10 @@ class TestFlagValues:
         ["simulate", "--n", "300", "--replications", "3", "--seed", "1",
          "--x0", "0.5", "--no-global", "--bandwidth", "0.2",
          "--error-law", "gaussian", "--df", "5"],
+        *[argv for argv, _ in _NAMED_FLAG],
+        _SIM + ["--scale", "0"],
+        _SIM + ["--gamma", "nan"],
+        _SIM + ["--sequence", "gsjs", "--order", "0"],
     ])
     def test_out_of_range_values_are_usage_errors(self, tmp_path, capsys, argv):
         if argv[0] == "estimate":
@@ -487,3 +513,13 @@ class TestFlagValues:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("argv, flag", _NAMED_FLAG)
+    def test_rejected_value_names_its_flag(self, tmp_path, capsys, argv, flag):
+        if argv[0] == "estimate":
+            argv = argv + ["--input", str(tmp_path / "data.csv"),
+                           "--output", str(tmp_path / "o.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert f"argument {flag}: must be >= " in err[0]

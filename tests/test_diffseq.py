@@ -8,6 +8,7 @@ from diffvar.errors import (
     DegenerateEndpointError,
     NonPositiveOrderError,
     NormNotOneError,
+    SequenceError,
     SumNotZeroError,
     TooShortError,
     UnknownKindError,
@@ -38,6 +39,14 @@ def test_validate_rejects_bad_norm():
 def test_validate_rejects_short():
     with pytest.raises(TooShortError):
         diffseq.validate([1.0])
+
+
+@pytest.mark.parametrize("coeffs", [
+    {"a": 1}, ["a", "b"], [[0.7071067811865476, -0.7071067811865476]], None,
+])
+def test_validate_rejects_what_is_not_a_flat_list_of_numbers(coeffs):
+    with pytest.raises(SequenceError, match="flat list of numbers"):
+        diffseq.validate(coeffs)
 
 
 def test_validate_rejects_zero_endpoint():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -133,6 +134,24 @@ class TestGenerateSample:
         assert np.array_equal(a.ys, b.ys)
         assert not np.array_equal(a.ys, generate_sample(s, 43).ys)
 
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, "5", True, np.int64(-2)])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        scen = smooth_scenario(50)
+        est = EstimatorConfig(FD, SmootherConfig(0.25, 1))
+        for run in (lambda: generate_sample(scen, seed),
+                    lambda: pointwise_risk(scen, est, 0.5, 3, seed),
+                    lambda: risk_report(scen, est, 3, seed, points=(0.5,))):
+            with pytest.raises(BadParameterError, match="seed"):
+                run()
+
+    def test_integer_and_seed_sequence_seeds_keep_their_samples(self):
+        # sha256 of the responses before seeds were checked
+        digest = "9a9894e8253aced26dd8613983e34a5774902d73230ce7b1c2f231a2488e5976"
+        scen = smooth_scenario(50)
+        for seed in (5, np.int64(5), np.random.SeedSequence(5)):
+            ys = generate_sample(scen, seed).ys
+            assert hashlib.sha256(ys.tobytes()).hexdigest() == digest
+
     def test_delta_check(self):
         fn0 = function_spec("constant", value=0.0)
         mean = function_spec("constant", value=3.0)
@@ -241,8 +260,6 @@ class TestRisks:
         est = EstimatorConfig(FD, SmootherConfig(0.25, 1))
         with pytest.raises(BadParameterError):
             global_risk(scen, est, 5, 1, grid_size=1)
-        with pytest.raises(BadParameterError):
-            global_risk(scen, est, 5, 1, grid=[0.5])
 
 
 def gap_scenario():
@@ -331,8 +348,7 @@ class TestBoundEstimator:
         monkeypatch.setattr(simlab, "_summarize", capture)
         est = EstimatorConfig(FD, SmootherConfig(0.05, 1))
         with pytest.raises(BadScenarioError, match="every replication failed"):
-            global_risk(gap_scenario(), est, 6, 11,
-                        grid=np.linspace(0.05, 0.95, 19))
+            global_risk(gap_scenario(), est, 6, 11, margin=0.05, grid_size=19)
         # the message every replication recorded before weights were shared
         message = ("InsufficientSupportError: 0 positively weighted points "
                    "at x=0.44999999999999996 with h=0.05; need 2")

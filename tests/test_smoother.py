@@ -201,6 +201,21 @@ def test_permuted_design_gives_the_same_fit_and_weights(degree):
             assert np.all(shuffled.weights.weights[outside] == 0.0)
 
 
+def test_unsorted_design_with_underflowing_bandwidth_power():
+    # h**4 underflows, so u**4 of the far point 0.9 inside the window
+    # overflows; its zero kernel weight must still give it weight 0.0
+    config = SmootherConfig(1e-89, 4)
+    xs = np.array([0.0, 0.9, 1e-90, 2e-90, 3e-90, 4e-90])
+    weights = effective_weights(xs, config, 2e-90)
+    assert weights.weights[1] == 0.0
+    without = effective_weights(np.delete(xs, 1), config, 2e-90)
+    full = np.zeros(xs.size)
+    full[weights.indices] = weights.weights
+    reference = np.zeros(xs.size - 1)
+    reference[without.indices] = without.weights
+    assert np.allclose(np.delete(full, 1), reference, rtol=0.0, atol=1e-10)
+
+
 def test_expand_to_minimum():
     xs = np.array([0.1, 0.45, 0.55, 0.9])
     zs = 1.0 + 2.0 * xs
