@@ -125,9 +125,11 @@ def cv_select(
     round-robin to ``folds`` folds.  For each candidate h, each fold's
     squared contrasts are predicted by the :func:`weight_operator` of the
     remaining folds (same kernel and degree as ``config_base``, only h
-    varies) and the squared prediction errors are summed.  Candidates
-    whose fits fail on any fold are disqualified and listed; if none
-    survive, AllCandidatesFailedError is raised.
+    varies) and the squared prediction errors are summed.  CV never
+    expands a window, whatever ``config_base.expand`` says, so each
+    candidate is scored at its own bandwidth: candidates whose fits fail
+    on any fold are disqualified and listed; if none survive,
+    AllCandidatesFailedError is raised.
 
     The folds are deterministic; ``seed`` only labels the report as
     ``fold_assignment_seed``.
@@ -147,7 +149,7 @@ def cv_select(
     scored: list[tuple[float, float]] = []
     disqualified: list[tuple[float, str]] = []
     for h in grid.candidates:
-        config = replace(config_base, bandwidth=float(h))
+        config = replace(config_base, bandwidth=float(h), expand=False)
         total = 0.0
         try:
             for held_out, xs_train, z_train in splits:

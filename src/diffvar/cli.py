@@ -21,6 +21,7 @@ import csv
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -205,16 +206,17 @@ def _add_estimator_flags(parser, bandwidth_modes: str) -> None:
                         help="scale constant for --bandwidth rate")
 
 
-def _fixed_bandwidth(args, n: int) -> float:
+def _fixed_bandwidth(args):
+    """n -> the bandwidth of a number or of ``rate``, its flags checked now."""
     if args.bandwidth == "rate":
         _require(args.gamma is not None, "--bandwidth rate requires --gamma")
-        return bw.rate_optimal_bandwidth(n, args.gamma, args.scale)
+        return lambda n: bw.rate_optimal_bandwidth(n, args.gamma, args.scale)
     try:
         h = float(args.bandwidth)
     except ValueError:
         raise _UsageError(f"bad --bandwidth {args.bandwidth!r}") from None
     _require(0.0 < h <= 1.0, "fixed bandwidth must be in (0, 1]")
-    return h
+    return lambda n: h
 
 
 def _smoother(args, h: float) -> SmootherConfig:
@@ -224,25 +226,28 @@ def _smoother(args, h: float) -> SmootherConfig:
 # --- subcommands -----------------------------------------------------------
 
 def _cmd_estimate(args) -> int:
-    sample = _read_sample_csv(args.input)
-    seq = _resolve_sequence(args)
+    # every flag is checked before the input is read
     _require(args.grid_min < args.grid_max, "--grid-min must be below --grid-max")
+    _require(args.bandwidth != "cv" or args.seed is not None,
+             "--bandwidth cv requires --seed")
+    bandwidth_of = None if args.bandwidth == "cv" else _fixed_bandwidth(args)
+    seq = _resolve_sequence(args)
+    sample = _read_sample_csv(args.input)
     grid = np.linspace(args.grid_min, args.grid_max, args.grid_size)
 
     cv_report = None
-    if args.bandwidth == "cv":
-        _require(args.seed is not None, "--bandwidth cv requires --seed")
+    if bandwidth_of is None:
         cv_report = bw.cv_select(
             sample, seq, _smoother(args, 0.25), bw.default_grid(sample),
             folds=args.folds, seed=args.seed,
         )
         h = cv_report.selected
     else:
-        h = _fixed_bandwidth(args, sample.n)
+        h = bandwidth_of(sample.n)
 
-    estimate = estimate_variance(
-        sample, seq, _smoother(args, h), grid, expand_to_minimum=args.expand
-    )
+    # --expand applies to this final fit only; CV never expands
+    config = replace(_smoother(args, h), expand=args.expand)
+    estimate = estimate_variance(sample, seq, config, grid)
 
     lines = ["x,vhat"]
     lines += [f"{float(x)!r},{float(v)!r}"
@@ -290,7 +295,7 @@ def _build_scenario(args) -> simlab.Scenario:
 
 def _cmd_simulate(args) -> int:
     _require_integrable(args, not args.no_global)
-    h = _fixed_bandwidth(args, args.n)
+    h = _fixed_bandwidth(args)(args.n)
     scenario = _build_scenario(args)
     seq = _resolve_sequence(args)
     est = simlab.EstimatorConfig(sequence=seq, smoother=_smoother(args, h))

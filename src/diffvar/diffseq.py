@@ -54,11 +54,13 @@ class DifferenceSequence:
 
     def __post_init__(self):
         try:
-            coeffs = np.asarray(self.coeffs, dtype=float)
+            coeffs = np.asarray(self.coeffs)
         except (TypeError, ValueError):
             coeffs = None
-        if coeffs is None or coeffs.ndim != 1:
+        # dtype=float would parse strings such as "0.5"; take numbers only
+        if coeffs is None or coeffs.ndim != 1 or coeffs.dtype.kind not in "iuf":
             raise SequenceError("coefficients must be a flat list of numbers")
+        coeffs = coeffs.astype(float, copy=False)
         object.__setattr__(self, "coeffs", coeffs)
         if coeffs.size < 2:
             raise TooShortError(

@@ -71,12 +71,10 @@ class PseudoresidualSeries:
 
     ``values[k]`` is the contrast whose window starts at observation k;
     it is attached to the design point ``center_xs[k]``, which sits
-    floor(r/2) positions into the window.  ``first_index`` is the
-    1-based index of the first attached observation, floor(r/2) + 1.
+    floor(r/2) positions into the window, so the first attached
+    observation is the (floor(r/2) + 1)-th.
     """
 
-    order: int
-    first_index: int
     values: np.ndarray
     center_xs: np.ndarray
 
@@ -109,12 +107,7 @@ def pseudoresiduals(sample: Sample, seq: DifferenceSequence) -> PseudoresidualSe
         total = values @ values
     if not math.isfinite(total):
         raise NonFiniteDataError("squared contrasts overflow: responses too large")
-    return PseudoresidualSeries(
-        order=r,
-        first_index=r // 2 + 1,
-        values=values,
-        center_xs=centers,
-    )
+    return PseudoresidualSeries(values=values, center_xs=centers)
 
 
 @dataclass(frozen=True)
@@ -143,11 +136,7 @@ class VarianceEstimate:
 
 
 def variance_operator(
-    xs,
-    seq: DifferenceSequence,
-    config: SmootherConfig,
-    grid,
-    expand_to_minimum: bool = False,
+    xs, seq: DifferenceSequence, config: SmootherConfig, grid
 ) -> WeightOperator:
     """Weights taking the squared contrasts of any sample on design ``xs``
     to its variance estimate on ``grid``.
@@ -157,26 +146,21 @@ def variance_operator(
     ``estimate_variance(sample, seq, config, grid).values`` up to rounding.
     """
     centers = _centers(np.asarray(xs, dtype=float), seq.order)
-    return weight_operator(centers, config, grid, expand_to_minimum)
+    return weight_operator(centers, config, grid)
 
 
 def estimate_variance(
-    sample: Sample,
-    seq: DifferenceSequence,
-    config: SmootherConfig,
-    grid,
-    expand_to_minimum: bool = False,
+    sample: Sample, seq: DifferenceSequence, config: SmootherConfig, grid
 ) -> VarianceEstimate:
     """Smooth squared pseudoresiduals onto ``grid``.
 
     Each grid value is the intercept of the local polynomial fit of the
     squared contrasts, computed as the effective-weight inner product
-    with them.
+    with them.  Starved windows grow only when ``config.expand`` is set;
+    the grown points are listed in ``provenance.expanded_points``.
     """
     series = pseudoresiduals(sample, seq)
-    operator = weight_operator(
-        series.center_xs, config, grid, expand_to_minimum=expand_to_minimum
-    )
+    operator = weight_operator(series.center_xs, config, grid)
     values = operator.apply(series.values**2)
     return VarianceEstimate(
         grid=operator.grid,
@@ -198,11 +182,11 @@ class EstimatorConfig:
     protocol every simulation experiment accepts, so tests can substitute
     plain functions.  A call reuses the previous call's weights while the
     design and grid are unchanged; errors building them propagate.
+    Windows grow only when ``smoother.expand`` is set.
     """
 
     sequence: DifferenceSequence
     smoother: SmootherConfig
-    expand_to_minimum: bool = False
     # (design copy, grid copy, operator) of the last successful build
     _last: tuple | None = field(default=None, init=False, repr=False)
 
@@ -211,8 +195,7 @@ class EstimatorConfig:
         last = self._last
         if (last is None or not np.array_equal(sample.xs, last[0])
                 or not np.array_equal(grid, last[1])):
-            operator = variance_operator(sample.xs, self.sequence, self.smoother,
-                                         grid, self.expand_to_minimum)
+            operator = variance_operator(sample.xs, self.sequence, self.smoother, grid)
             last = (sample.xs.copy(), grid.copy(), operator)
             object.__setattr__(self, "_last", last)
         return last[2].apply(pseudoresiduals(sample, self.sequence).values ** 2)
@@ -224,7 +207,7 @@ class EstimatorConfig:
             "kernel": self.smoother.kernel.kind,
             "degree": self.smoother.degree,
             "bandwidth": self.smoother.bandwidth,
-            "expand_to_minimum": self.expand_to_minimum,
+            "expand_to_minimum": self.smoother.expand,
         }
 
 

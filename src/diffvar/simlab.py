@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .bandwidth import rate_optimal_bandwidth
-from .diffseq import DifferenceSequence
+from .diffseq import DifferenceSequence, standard_sequence
 from .errors import BadParameterError, BadScenarioError, DiffvarError
 from .estimator import EstimatorConfig, Sample, pseudoresiduals, variance_operator
 from .kernels import KernelSpec, kernel
@@ -222,26 +222,19 @@ def smooth_scenario(n: int, error_law: ErrorLaw = ErrorLaw("gaussian")) -> Scena
     )
 
 
-def constant_scenario(
-    n: int, mean: float = 1.0, variance: float = 2.0,
-    error_law: ErrorLaw = ErrorLaw("gaussian"),
-) -> Scenario:
-    """Homoscedastic case with constant mean."""
-    if variance <= 0:
-        raise BadScenarioError("variance must be positive")
+def constant_scenario(n: int) -> Scenario:
+    """Homoscedastic case: mean 1, variance 2, gaussian errors."""
     return Scenario(
-        label=f"constant-n{n}-{error_law.kind}",
-        mean_fn=function_spec("constant", value=mean),
-        var_fn=function_spec("constant", value=variance),
+        label=f"constant-n{n}-gaussian",
+        mean_fn=function_spec("constant", value=1.0),
+        var_fn=function_spec("constant", value=2.0),
         n=n,
-        error_law=error_law,
-        variance_floor=variance / 2.0,
+        variance_floor=1.0,
     )
 
 
-def rough_mean_scenario(n: int, beta: float,
-                        error_law: ErrorLaw = ErrorLaw("gaussian")) -> Scenario:
-    """Cusp mean |x - 1/2|^beta over the default smooth variance."""
+def rough_mean_scenario(n: int, beta: float) -> Scenario:
+    """Cusp mean |x - 1/2|^beta over the default smooth variance, gaussian errors."""
     if not 0.0 < beta < 1.0:
         raise BadScenarioError(f"need 0 < beta < 1, got {beta}")
     return Scenario(
@@ -249,15 +242,11 @@ def rough_mean_scenario(n: int, beta: float,
         mean_fn=function_spec("abs_power", exponent=beta),
         var_fn=function_spec("sine", offset=0.5, amplitude=0.25),
         n=n,
-        error_law=error_law,
     )
 
 
-def quadratic_variance_scenario(
-    n: int, offset: float = 0.5, curvature: float = 3.0,
-    error_law: ErrorLaw = ErrorLaw("gaussian"),
-) -> Scenario:
-    """Variance with constant second derivative, for bias-structure studies.
+def quadratic_variance_scenario(n: int) -> Scenario:
+    """Variance 0.5 + 3 (x - 1/2)^2, gaussian errors, for bias-structure studies.
 
     A quadratic variance makes the second-order bias term exact at every
     bandwidth, so log-log slopes in h are clean.  Moderate curvature
@@ -267,10 +256,8 @@ def quadratic_variance_scenario(
     return Scenario(
         label=f"quadratic-variance-n{n}",
         mean_fn=function_spec("sine", offset=2.0, amplitude=1.0),
-        var_fn=function_spec("quadratic", offset=offset, curvature=curvature, center=0.5),
+        var_fn=function_spec("quadratic", offset=0.5, curvature=3.0, center=0.5),
         n=n,
-        error_law=error_law,
-        variance_floor=offset / 2.0,
     )
 
 
@@ -752,12 +739,11 @@ def bias_variance_experiment(
     x0: float,
     replications: int,
     seed,
-    degree: int = 1,
-    kernel_spec: KernelSpec = kernel("epanechnikov"),
 ) -> BiasVarianceReport:
     """Monte Carlo bias^2 and variance of the estimate at x0 per bandwidth.
 
-    The design is fixed across replications, so each bandwidth's
+    The smoother is local linear with the Epanechnikov kernel.  The
+    design is fixed across replications, so each bandwidth's
     :func:`~diffvar.estimator.variance_operator` is built once and every
     replication reduces to one squared-contrast inner product per
     bandwidth.  Errors building the weights propagate.  The log-log slopes
@@ -770,8 +756,7 @@ def bias_variance_experiment(
         )
     grid = _point_grid(x0)
     operators = [
-        variance_operator(scenario.design_points(), seq,
-                          SmootherConfig(float(h), degree, kernel_spec), grid)
+        variance_operator(scenario.design_points(), seq, SmootherConfig(float(h)), grid)
         for h in bandwidths
     ]
     v_true = float(np.asarray(scenario.var_fn(grid))[0])
@@ -836,16 +821,17 @@ def mean_effect_experiment(
     ns,
     replications: int,
     seed,
-    seq: DifferenceSequence | None = None,
     scale: float = 1.0,
     margin: float = 0.05,
     grid_size: int = 101,
 ) -> MeanEffectReport:
     """Compare risk under mean |x-1/2|^beta against mean zero.
 
-    ``beta`` must lie strictly inside (gamma/(4 gamma + 2),
-    gamma/(2 gamma + 2)), the regime where the cusp is rough enough to
-    matter in principle yet provably negligible for this estimator.
+    The estimator smooths squared first differences with the bandwidth
+    of :func:`rate_schedule` for ``gamma`` and ``scale``.  ``beta`` must
+    lie strictly inside (gamma/(4 gamma + 2), gamma/(2 gamma + 2)), the
+    regime where the cusp is rough enough to matter in principle yet
+    provably negligible for this estimator.
     The replication engine draws both arms from the same streams, so the
     ratio is measured with common random numbers.
     """
@@ -855,10 +841,7 @@ def mean_effect_experiment(
         raise BadParameterError(
             f"beta must lie strictly inside ({lo:.4g}, {hi:.4g}), got {beta}"
         )
-    if seq is None:
-        from .diffseq import standard_sequence
-        seq = standard_sequence("first_difference")
-    schedule = rate_schedule(seq, gamma, scale)
+    schedule = rate_schedule(standard_sequence("first_difference"), gamma, scale)
     ns = sorted(int(n) for n in ns)
     children = _seed_sequence(seed).spawn(len(ns))
     grid = _margin_grid(margin, grid_size)

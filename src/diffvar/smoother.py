@@ -19,6 +19,9 @@ are never formed.  The singular values give s_min/s_max, the
 reciprocal condition of D; below 1e-12, as when ties leave fewer than
 degree+1 distinct abscissae, the fit raises RankDeficientError before
 any division by s.  Every failure message names the point as x=...
+
+Window expansion is a smoother setting: only ``SmootherConfig.expand``
+turns it on, and every fit reads it there.
 """
 
 from __future__ import annotations
@@ -50,11 +53,17 @@ RCOND_MIN = 1e-12
 
 @dataclass(frozen=True)
 class SmootherConfig:
-    """Bandwidth, polynomial degree and kernel of a local fit."""
+    """Bandwidth, polynomial degree and kernel of a local fit.
+
+    With ``expand`` set, a window where fewer than degree+1 points carry
+    weight grows to the (degree+1)-th nearest abscissa instead of
+    raising InsufficientSupportError; the weights record it.
+    """
 
     bandwidth: float
     degree: int = 1
     kernel: KernelSpec = kernel("epanechnikov")
+    expand: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.bandwidth <= 1.0:
@@ -71,7 +80,7 @@ class EffectiveWeights:
 
     ``indices`` is the window's slice of the abscissae; observations
     outside it carry exactly zero weight.  ``expanded`` is set when
-    ``expand_to_minimum`` grew a starved window.
+    ``SmootherConfig.expand`` grew a starved window.
     """
 
     eval_point: float
@@ -108,7 +117,7 @@ class LocalFit:
     ``coefficients[q]`` multiplies (x - x_i)^q, so coefficients[0] is the
     fitted value at the evaluation point.  ``bandwidth`` is the window
     actually used; it exceeds the configured one only when
-    ``expand_to_minimum`` grew a starved window, in which case
+    ``SmootherConfig.expand`` grew a starved window, in which case
     ``weights.expanded`` is set.
     """
 
@@ -122,14 +131,14 @@ class LocalFit:
         return float(self.coefficients[0])
 
 
-def _factorize(xs: np.ndarray, config: SmootherConfig, x: float, expand: bool):
+def _factorize(xs: np.ndarray, config: SmootherConfig, x: float):
     """Window and one thin SVD of the scaled local design at x.
 
     Returns (effective weights, rcond, bandwidth used, local hat matrix),
     where row q of the hat matrix maps the window's responses to the
     coefficient of ((x - x_i)/h)^q.  The window slices xs from the first
     to the last positively weighted point (on unsorted xs, a zero-weight
-    point inside it gets weight 0), grown by ``expand`` when needed; ties
+    point inside it gets weight 0), grown when ``config.expand`` allows; ties
     short of degree+1 distinct abscissae fail the rcond check.
     """
     need = config.degree + 1
@@ -137,7 +146,7 @@ def _factorize(xs: np.ndarray, config: SmootherConfig, x: float, expand: bool):
     u = (x - xs) / h
     k = config.kernel(u)
     active = np.flatnonzero(k > 0.0)
-    expanded = active.size < need and expand and xs.size >= need
+    expanded = active.size < need and config.expand and xs.size >= need
     if expanded:
         # nudge past the (degree+1)-th nearest abscissa so the compact
         # kernel gives it strictly positive weight
@@ -169,21 +178,17 @@ def _factorize(xs: np.ndarray, config: SmootherConfig, x: float, expand: bool):
     return weights, rcond, h, hat
 
 
-def effective_weights(
-    xs, config: SmootherConfig, x: float, expand_to_minimum: bool = False
-) -> EffectiveWeights:
+def effective_weights(xs, config: SmootherConfig, x: float) -> EffectiveWeights:
     """Intercept weights of the local fit at x, without responses.
 
     The weights depend only on the design, so precomputing them lets a
     fixed-design simulation reuse one factorization across replications.
     """
     xs = np.asarray(xs, dtype=float)
-    return _factorize(xs, config, float(x), expand_to_minimum)[0]
+    return _factorize(xs, config, float(x))[0]
 
 
-def fit_at(
-    xs, zs, config: SmootherConfig, x: float, expand_to_minimum: bool = False
-) -> LocalFit:
+def fit_at(xs, zs, config: SmootherConfig, x: float) -> LocalFit:
     """Weighted polynomial fit of (xs, zs) at the point x.
 
     Parameters
@@ -192,11 +197,10 @@ def fit_at(
         Abscissae and responses.  xs need not be sorted; the window is
         the slice from the first to the last positively weighted point.
     config : SmootherConfig
+        With ``config.expand`` set, a starved window grows to the
+        (degree+1)-th nearest abscissa; ``weights.expanded`` records it.
     x : float
         Evaluation point.
-    expand_to_minimum : bool
-        Grow the window to the (degree+1)-th nearest abscissa when fewer
-        than degree+1 points carry weight; ``weights.expanded`` records it.
 
     Raises
     ------
@@ -207,7 +211,7 @@ def fit_at(
     zs = np.asarray(zs, dtype=float)
     if xs.shape != zs.shape:
         raise ValueError("xs and zs must have the same shape")
-    weights, rcond, h, hat = _factorize(xs, config, float(x), expand_to_minimum)
+    weights, rcond, h, hat = _factorize(xs, config, float(x))
     # undo the (x - x_i)/h rescaling: coefficient q multiplies (x - x_i)^q
     coefs = hat @ zs[weights.indices] / h ** np.arange(config.degree + 1)
     return LocalFit(
@@ -230,20 +234,15 @@ def _checked_grid(grid) -> np.ndarray:
     return grid
 
 
-def fit_on_grid(
-    xs, zs, config: SmootherConfig, grid, expand_to_minimum: bool = False
-) -> list[LocalFit]:
+def fit_on_grid(xs, zs, config: SmootherConfig, grid) -> list[LocalFit]:
     """Repeated fit_at over a sorted grid in [0, 1].
 
     A failed fit raises with the offending point named in its message.
     """
-    return [fit_at(xs, zs, config, x, expand_to_minimum)
-            for x in _checked_grid(grid)]
+    return [fit_at(xs, zs, config, x) for x in _checked_grid(grid)]
 
 
-def weight_operator(
-    xs, config: SmootherConfig, grid, expand_to_minimum: bool = False
-) -> WeightOperator:
+def weight_operator(xs, config: SmootherConfig, grid) -> WeightOperator:
     """Effective weights at every point of a sorted grid in [0, 1].
 
     Each grid point is factorized once, with the same support, rcond and
@@ -252,7 +251,6 @@ def weight_operator(
     A failed point raises as in :func:`fit_on_grid`.
     """
     grid = _checked_grid(grid)
-    weights = tuple(effective_weights(xs, config, x, expand_to_minimum)
-                    for x in grid)
+    weights = tuple(effective_weights(xs, config, x) for x in grid)
     return WeightOperator(grid=grid, weights=weights)
 

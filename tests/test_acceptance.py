@@ -85,7 +85,7 @@ def test_criterion_03_smoother_exactness():
 
 
 def test_criterion_04_unbiased_under_homoscedasticity():
-    scen = simlab.constant_scenario(500, mean=1.0, variance=2.0)
+    scen = simlab.constant_scenario(500)
     est = simlab.EstimatorConfig(FD, SmootherConfig(0.2, 1))
     grid = np.array([0.5])
     seeds = np.random.SeedSequence(SEED).spawn(2000)

@@ -180,6 +180,16 @@ class TestCvSelect:
             assert scores[h] == pytest.approx(score, rel=1e-12, abs=0)
         assert report.selected == min(expected, key=lambda h: (expected[h], h))
 
+    def test_cv_never_expands(self):
+        # 0.001 starves every window; expanding would score it at a wider h
+        sample = _toy_sample(n=200)
+        grid = BandwidthGrid(np.array([0.001, 0.1, 0.3]))
+        base = SmootherConfig(0.25, 1)
+        report = cv_select(sample, FD, base, grid, folds=4, seed=0)
+        assert [h for h, _ in report.disqualified] == [0.001]
+        assert cv_select(sample, FD, replace(base, expand=True), grid,
+                         folds=4, seed=0) == report
+
     def test_all_candidates_failed(self):
         sample = _toy_sample(n=200)
         grid = BandwidthGrid(np.array([0.0005, 0.001]))

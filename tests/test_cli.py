@@ -129,6 +129,20 @@ class TestEstimate:
         assert main(base + ["--bandwidth", "rate"]) == 1  # rate needs --gamma
         assert main(["estimate", "--input", str(inp)]) == 1  # no output
 
+    @pytest.mark.parametrize("flags", [
+        ["--bandwidth", "cv"],
+        ["--bandwidth", "abc"],
+        ["--bandwidth", "rate"],
+        ["--bandwidth", "0.2", "--grid-min", "0.9", "--grid-max", "0.1"],
+    ])
+    def test_bad_flags_fail_before_the_input_is_read(self, tmp_path, capsys, flags):
+        argv = ["estimate", "--input", str(tmp_path / "nope.csv"),
+                "--output", str(tmp_path / "o.csv")] + flags
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "cannot read" not in err[0]
+
     def test_estimation_failure_names_grid_point(self, tmp_path, capsys):
         inp = tmp_path / "data.csv"
         out = tmp_path / "o.csv"
@@ -375,6 +389,7 @@ class TestDiffseq:
 
     @pytest.mark.parametrize("text", [
         '{"a": 1}', '["a", "b"]', "[[0.7071067811865476, -0.7071067811865476]]", "null",
+        '["0.7071067811865476", "-0.7071067811865476"]',
     ])
     def test_malformed_sequence_file_is_input_error(self, tmp_path, capsys, text):
         seq = tmp_path / "seq.json"

@@ -43,6 +43,7 @@ def test_validate_rejects_short():
 
 @pytest.mark.parametrize("coeffs", [
     {"a": 1}, ["a", "b"], [[0.7071067811865476, -0.7071067811865476]], None,
+    ["0.7071067811865476", "-0.7071067811865476"],
 ])
 def test_validate_rejects_what_is_not_a_flat_list_of_numbers(coeffs):
     with pytest.raises(SequenceError, match="flat list of numbers"):

@@ -64,8 +64,7 @@ class TestPseudoresiduals:
     def test_hand_example_order_one(self):
         series = pseudoresiduals(make_sample([1.0, 3.0, 2.0]), FD)
         assert np.allclose(series.values, [-np.sqrt(2.0), 1.0 / np.sqrt(2.0)])
-        assert series.first_index == 1
-        assert series.order == 1
+        assert np.array_equal(series.center_xs, [0.25, 0.5])
 
     def test_constant_gives_zero(self):
         series = pseudoresiduals(make_sample(np.full(20, 7.3)), GSJS)
@@ -74,7 +73,7 @@ class TestPseudoresiduals:
     def test_gsjs_annihilates_linear(self):
         series = pseudoresiduals(make_sample([1.0, 2.0, 3.0, 4.0]), GSJS)
         assert np.allclose(series.values, [0.0, 0.0], atol=1e-12)
-        assert series.first_index == 2
+        assert np.array_equal(series.center_xs, [0.4, 0.6])
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_matches_definition_oracle(self, r):

@@ -220,7 +220,7 @@ class TestRisks:
             return np.full(len(grid), rice_estimate(sample))
         risks = {}
         for n in (500, 2000):
-            scen = constant_scenario(n, mean=1.0, variance=2.0)
+            scen = constant_scenario(n)
             risks[n] = pointwise_risk(scen, rice_fn, 0.5, 2000, 31)
         ratio = risks[500].value / risks[2000].value
         assert ratio == pytest.approx(4.0, rel=0.3)
@@ -282,21 +282,20 @@ class TestBoundEstimator:
     def test_matches_fit_path_with_expansion(self, degree):
         scen = gap_scenario()
         grid = np.linspace(0.05, 0.95, 19)
-        smoother_config = SmootherConfig(0.08, degree)
-        est = EstimatorConfig(FD, smoother_config, expand_to_minimum=True)
+        smoother_config = SmootherConfig(0.08, degree, expand=True)
+        est = EstimatorConfig(FD, smoother_config)
         for seed in range(3):
             sample = generate_sample(scen, seed)
             series = pseudoresiduals(sample, FD)
             fits = fit_on_grid(series.center_xs, series.values**2,
-                               smoother_config, grid, expand_to_minimum=True)
+                               smoother_config, grid)
             expected = np.array([fit.value for fit in fits])
             np.testing.assert_allclose(est(sample, grid), expected,
                                        rtol=1e-12, atol=0)
         expanded = tuple(fit.weights.eval_point for fit in fits
                          if fit.weights.expanded)
         assert 0.5 in np.round(expanded, 12)
-        estimate = estimate_variance(sample, FD, smoother_config, grid,
-                                     expand_to_minimum=True)
+        estimate = estimate_variance(sample, FD, smoother_config, grid)
         assert estimate.provenance.expanded_points == expanded
 
     def test_other_design_or_grid_takes_the_full_path(self):

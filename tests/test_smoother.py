@@ -222,7 +222,7 @@ def test_expand_to_minimum():
     config = SmootherConfig(0.01, 1)
     with pytest.raises(InsufficientSupportError):
         fit_at(xs, zs, config, 0.5)
-    fit = fit_at(xs, zs, config, 0.5, expand_to_minimum=True)
+    fit = fit_at(xs, zs, SmootherConfig(0.01, 1, expand=True), 0.5)
     assert fit.weights.expanded
     assert fit.bandwidth > config.bandwidth
     assert fit.value == pytest.approx(1.0 + 2.0 * 0.5, rel=1e-9)
@@ -357,7 +357,7 @@ def test_weight_operator_rows_slice_exactly_the_weighted_points():
 def test_weight_operator_records_expansion_and_tags_failures():
     xs = np.concatenate([np.linspace(0.05, 0.3, 30), np.linspace(0.7, 0.95, 30)])
     config = SmootherConfig(0.1, 1)
-    op = weight_operator(xs, config, [0.2, 0.5, 0.8], expand_to_minimum=True)
+    op = weight_operator(xs, SmootherConfig(0.1, 1, expand=True), [0.2, 0.5, 0.8])
     assert op.expanded_points == (0.5,)
     assert [w.expanded for w in op.weights] == [False, True, False]
     with pytest.raises(InsufficientSupportError) as info:
