@@ -28,7 +28,6 @@ from .estimator import (
     PseudoresidualSeries,
     Sample,
     VarianceEstimate,
-    clip_at_zero,
     estimate_variance,
     gsjs_estimate,
     hkt_estimate,
@@ -86,7 +85,6 @@ __all__ = [
     "VarianceEstimate",
     "WeightOperator",
     "bias_variance_experiment",
-    "clip_at_zero",
     "constant_scenario",
     "cv_select",
     "default_grid",

@@ -6,12 +6,13 @@ experiment), ``normality`` (shape diagnostics), ``diffseq`` (sequence
 construction and validation).
 
 Exit codes: 0 success, 1 bad flags or scenario setup, 2 malformed
-input, 3 computation failure.  Every numeric flag is parsed and
-range-checked by its argparse type, so a bad value exits 1 with one
-line naming the flag.  Simulation subcommands require an explicit
---seed, a non-negative integer; nothing is ever wall-clock seeded.
-Outputs are written atomically (temp file + rename), so error paths
-leave no partial files.
+input or a file that cannot be written, 3 computation failure.  Every
+numeric flag is parsed and range-checked by its argparse type, so a bad
+value exits 1 with one line naming the flag.  Simulation subcommands
+require an explicit --seed, a non-negative integer; nothing is ever
+wall-clock seeded.  A command writes all of its files or none: each is
+staged as a temp file and renamed into place once all are staged, so a
+failed run leaves no file behind, partial or whole.
 """
 
 from __future__ import annotations
@@ -42,7 +43,11 @@ class _UsageError(Exception):
 
 
 class _InputError(Exception):
-    pass
+    kind = "input"
+
+
+class _OutputError(_InputError):
+    kind = "output"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,27 +57,37 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message} (see '{self.prog} --help')")
 
 
-def _write_atomic(path: str, text: str) -> None:
-    target = Path(path)
-    # mode 0o666 lets the umask apply, as open() does; mkstemp's 0o600
-    # would leave every output file readable by its owner only
-    tmp = target.parent / f".tmp-{os.urandom(8).hex()}"
-    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+def _write_outputs(*outputs) -> None:
+    """Write each (path, text) with a final newline: every file or none.
+
+    A None path is stdout, written last.  Files are staged beside their
+    targets and renamed once all are staged; a failure removes them all.
+    """
+    staged, placed = [], []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for path, text in outputs:
+            if path is not None:
+                # mode 0o666 lets the umask apply, as open() does; mkstemp's
+                # 0o600 would leave every output file readable by its owner only
+                tmp = Path(path).parent / f".tmp-{os.urandom(8).hex()}"
+                fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+                staged.append((tmp, path))
+                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                    handle.write(text + "\n")
+        for tmp, path in staged:
+            os.replace(tmp, path)
+            placed.append(path)
+    except BaseException as exc:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        for done in placed:
+            Path(done).unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
-
-
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text + "\n")
-    else:
-        _write_atomic(path, text + "\n")
+    for path, text in outputs:
+        if path is None:
+            sys.stdout.write(text + "\n")
 
 
 def _read_sample_csv(path: str) -> Sample:
@@ -265,8 +280,8 @@ def _cmd_estimate(args) -> int:
         "expanded_points": list(estimate.provenance.expanded_points),
         "has_negative_values": estimate.provenance.has_negative_values,
     }
-    _write_atomic(args.output, "\n".join(lines) + "\n")
-    _write_atomic(_sidecar_path(args.output), dump_json(provenance) + "\n")
+    _write_outputs((args.output, "\n".join(lines)),
+                   (_sidecar_path(args.output), dump_json(provenance)))
     return 0
 
 
@@ -307,7 +322,7 @@ def _cmd_simulate(args) -> int:
         points=points, include_global=not args.no_global,
         margin=args.margin, grid_size=args.grid_size,
     )
-    _emit(dump_json(report), args.output)
+    _write_outputs((args.output, dump_json(report)))
     return 0
 
 
@@ -329,7 +344,7 @@ def _cmd_rates(args) -> int:
         gamma=args.gamma, x0=args.pointwise,
         margin=args.margin, grid_size=args.grid_size,
     )
-    _emit(dump_json(report), args.output)
+    _write_outputs((args.output, dump_json(report)))
     return 0
 
 
@@ -344,10 +359,11 @@ def _cmd_normality(args) -> int:
     est = simlab.EstimatorConfig(sequence=seq, smoother=_smoother(args, h))
     report = simlab.normality_experiment(scenario, est, args.x0,
                                          args.replications, args.seed)
-    _emit(dump_json(report), args.output)
+    outputs = [(args.output, dump_json(report))]
     if args.draws_out:
         lines = ["vhat"] + [repr(float(v)) for v in report.draws]
-        _write_atomic(args.draws_out, "\n".join(lines) + "\n")
+        outputs.append((args.draws_out, "\n".join(lines)))
+    _write_outputs(*outputs)
     return 0
 
 
@@ -375,7 +391,7 @@ def _cmd_diffseq(args) -> int:
         "variance_factor": diffseq.variance_factor(seq),
         "min_constant": diffseq.min_constant(seq.order),
     }
-    _emit(dump_json(payload), args.output)
+    _write_outputs((args.output, dump_json(payload)))
     return 0
 
 
@@ -476,7 +492,7 @@ def main(argv=None) -> int:
         print(exc, file=sys.stderr)
         return 1
     except _InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        print(f"{exc.kind} error: {exc}", file=sys.stderr)
         return 2
     except DiffvarError as exc:
         print(f"computation failed: {type(exc).__name__}: {exc}", file=sys.stderr)

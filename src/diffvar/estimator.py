@@ -11,7 +11,7 @@ the simulation lab and reuses its weights on an unchanged design.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "variance_operator",
     "estimate_variance",
     "EstimatorConfig",
-    "clip_at_zero",
     "rice_estimate",
     "gsjs_estimate",
     "hkt_estimate",
@@ -118,7 +117,6 @@ class EstimateProvenance:
     config: SmootherConfig
     expanded_points: tuple[float, ...]
     has_negative_values: bool
-    clipped_at_zero: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,8 +124,7 @@ class VarianceEstimate:
     """Fitted variance curve on a grid, with provenance.
 
     Values are not sign-constrained; negative fits are reported as-is
-    and flagged, so risk experiments see the raw estimator.  Use
-    :func:`clip_at_zero` when a nonnegative curve is required.
+    and flagged, so risk experiments see the raw estimator.
     """
 
     grid: np.ndarray
@@ -209,15 +206,6 @@ class EstimatorConfig:
             "bandwidth": self.smoother.bandwidth,
             "expand_to_minimum": self.smoother.expand,
         }
-
-
-def clip_at_zero(estimate: VarianceEstimate) -> VarianceEstimate:
-    """Opt-in post-processor: clamp negative fits to zero, flagged."""
-    return VarianceEstimate(
-        grid=estimate.grid,
-        values=np.maximum(estimate.values, 0.0),
-        provenance=replace(estimate.provenance, clipped_at_zero=True),
-    )
 
 
 def rice_estimate(sample: Sample) -> float:

@@ -16,7 +16,8 @@ builds its weights once per experiment and each replication applies them.
 
 Reproducibility contract: every experiment takes one master seed;
 replication streams are spawned from it and run serially, so results
-are bit-identical for a given (seed, replications).
+are bit-identical for a given (seed, replications).  A SeedSequence
+seed is copied before spawning, so passing it again repeats the run.
 """
 
 from __future__ import annotations
@@ -225,11 +226,10 @@ def smooth_scenario(n: int, error_law: ErrorLaw = ErrorLaw("gaussian")) -> Scena
 def constant_scenario(n: int) -> Scenario:
     """Homoscedastic case: mean 1, variance 2, gaussian errors."""
     return Scenario(
-        label=f"constant-n{n}-gaussian",
+        label=f"constant-n{n}",
         mean_fn=function_spec("constant", value=1.0),
         var_fn=function_spec("constant", value=2.0),
         n=n,
-        variance_floor=1.0,
     )
 
 
@@ -317,7 +317,10 @@ def _describe(estimator) -> dict | str:
 def _seed_sequence(seed) -> np.random.SeedSequence:
     """A master seed: a non-negative integer or a SeedSequence, never entropy."""
     if isinstance(seed, np.random.SeedSequence):
-        return seed
+        # a copy: spawning from the caller's object would advance it
+        return np.random.SeedSequence(
+            seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size,
+            n_children_spawned=seed.n_children_spawned)
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise BadParameterError(
             f"seed must be a non-negative integer or a SeedSequence, got {seed!r}")
@@ -362,7 +365,7 @@ class RiskValue:
     failures: int
 
 
-def _summarize(values: list, failures) -> RiskValue:
+def _summarize(values, failures) -> RiskValue:
     ok = np.array(values, dtype=float)
     if ok.size == 0:
         raise BadScenarioError("every replication failed")
@@ -393,17 +396,21 @@ def _point_grid(x0) -> np.ndarray:
     return np.array([x0])
 
 
+def _point_draws(scenario: Scenario, estimator, x0, replications: int, seed):
+    """The estimates at x0 of the replications that succeeded, and the failures."""
+    grid = _point_grid(x0)
+    values, failures = _replicate([scenario], replications, seed,
+                                  lambda sample: float(estimator(sample, grid)[0]))
+    return np.array(values, dtype=float), failures
+
+
 def pointwise_risk(
     scenario: Scenario, estimator, x0: float, replications: int, seed,
 ) -> RiskValue:
     """Mean squared error of the estimator at one point, over replications."""
-    grid = _point_grid(x0)
-    v_true = float(np.asarray(scenario.var_fn(grid))[0])
-
-    def rep(sample):
-        return (float(estimator(sample, grid)[0]) - v_true) ** 2
-
-    return _summarize(*_replicate([scenario], replications, seed, rep))
+    v_true = float(scenario.var_fn(_point_grid(x0))[0])
+    draws, failures = _point_draws(scenario, estimator, x0, replications, seed)
+    return _summarize((draws - v_true) ** 2, failures)
 
 
 def global_risk(
@@ -426,6 +433,11 @@ def global_risk(
     return _summarize(*_replicate([scenario], replications, seed, rep))
 
 
+def _risk_entry(rv: RiskValue) -> dict:
+    return {"risk": rv.value, "stderr": rv.stderr,
+            "replications": rv.replications, "failures": rv.failures}
+
+
 @dataclass(frozen=True)
 class RiskReport:
     """Pointwise and global risks of one estimator on one scenario."""
@@ -445,19 +457,8 @@ class RiskReport:
             "estimator": self.estimator,
             "replications": self.replications,
             "seed": self.seed,
-            "pointwise": {
-                str(x): {
-                    "risk": rv.value, "stderr": rv.stderr,
-                    "replications": rv.replications, "failures": rv.failures,
-                }
-                for x, rv in self.pointwise.items()
-            },
-            "global": None if self.global_risk is None else {
-                "risk": self.global_risk.value,
-                "stderr": self.global_risk.stderr,
-                "replications": self.global_risk.replications,
-                "failures": self.global_risk.failures,
-            },
+            "pointwise": {str(x): _risk_entry(rv) for x, rv in self.pointwise.items()},
+            "global": None if self.global_risk is None else _risk_entry(self.global_risk),
             "grid_margin": self.grid_margin,
             "grid_size": self.grid_size,
         }
@@ -707,13 +708,7 @@ def normality_experiment(
     """Collect replication draws of the estimate at x0 and diagnose shape."""
     if replications < 500:
         raise BadParameterError("need at least 500 replications")
-    grid = _point_grid(x0)
-
-    def rep(sample):
-        return float(estimator(sample, grid)[0])
-
-    values, failures = _replicate([scenario], replications, seed, rep)
-    draws = np.array(values, dtype=float)
+    draws, failures = _point_draws(scenario, estimator, x0, replications, seed)
     return normality_diagnostics(draws, failures=len(failures))
 
 
@@ -822,17 +817,17 @@ def mean_effect_experiment(
     replications: int,
     seed,
     scale: float = 1.0,
-    margin: float = 0.05,
     grid_size: int = 101,
 ) -> MeanEffectReport:
     """Compare risk under mean |x-1/2|^beta against mean zero.
 
     The estimator smooths squared first differences with the bandwidth
-    of :func:`rate_schedule` for ``gamma`` and ``scale``.  ``beta`` must
-    lie strictly inside (gamma/(4 gamma + 2), gamma/(2 gamma + 2)), the
-    regime where the cusp is rough enough to matter in principle yet
-    provably negligible for this estimator.
-    The replication engine draws both arms from the same streams, so the
+    of :func:`rate_schedule` for ``gamma`` and ``scale``; its squared
+    error is integrated over ``grid_size`` points on [0.05, 0.95].
+    ``beta`` must lie strictly inside (gamma/(4 gamma + 2),
+    gamma/(2 gamma + 2)), the regime where the cusp is rough enough to
+    matter in principle yet provably negligible for this estimator.  The
+    replication engine draws both arms from the same streams, so the
     ratio is measured with common random numbers.
     """
     lo = gamma / (4.0 * gamma + 2.0)
@@ -844,7 +839,7 @@ def mean_effect_experiment(
     schedule = rate_schedule(standard_sequence("first_difference"), gamma, scale)
     ns = sorted(int(n) for n in ns)
     children = _seed_sequence(seed).spawn(len(ns))
-    grid = _margin_grid(margin, grid_size)
+    grid = _margin_grid(0.05, grid_size)
     rough_risks, flat_risks, ratios, ratio_ses = [], [], [], []
     for n, child in zip(ns, children):
         rough = rough_mean_scenario(n, beta)

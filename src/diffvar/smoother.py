@@ -227,9 +227,10 @@ def _checked_grid(grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise BadParameterError("grid must be a nonempty 1-d sequence")
-    if np.any(np.diff(grid) < 0):
+    # written so that a NaN fails each check
+    if not np.all(np.diff(grid) >= 0):
         raise BadParameterError("grid must be sorted ascending")
-    if grid[0] < 0.0 or grid[-1] > 1.0:
+    if not (grid[0] >= 0.0 and grid[-1] <= 1.0):
         raise BadParameterError("grid values must lie in [0, 1]")
     return grid
 

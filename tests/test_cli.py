@@ -211,6 +211,30 @@ class TestOutputFiles:
             assert oct((tmp_path / name).stat().st_mode) == want, name
 
 
+    @pytest.mark.parametrize("case", ["missing-dir", "sidecar-is-dir", "draws-is-dir"])
+    def test_unwritable_file_exits_2_and_leaves_no_file(self, tmp_path, capsys, case):
+        inp = tmp_path / "data.csv"
+        write_sample_csv(inp, n=200)
+        if case == "missing-dir":
+            argv = ["diffseq", "--optimal", "3",
+                    "--output", str(tmp_path / "missing" / "x.json")]
+        elif case == "sidecar-is-dir":
+            (tmp_path / "out.json").mkdir()
+            argv = ["estimate", "--input", str(inp),
+                    "--output", str(tmp_path / "out.csv"), "--bandwidth", "0.2"]
+        else:
+            (tmp_path / "d").mkdir()
+            argv = ["normality", "--n", "200", "--replications", "500", "--seed", "1",
+                    "--output", str(tmp_path / "n.json"),
+                    "--draws-out", str(tmp_path / "d")]
+        before = sorted(os.listdir(tmp_path))
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "Traceback" not in err[0]
+        assert "cannot write" in err[0]
+        assert sorted(os.listdir(tmp_path)) == before
+
+
 class TestSimulate:
     def test_json_report(self, tmp_path):
         out = tmp_path / "report.json"

@@ -5,7 +5,6 @@ from diffvar import diffseq
 from diffvar.errors import NonFiniteDataError, TooFewObservationsError
 from diffvar.estimator import (
     Sample,
-    clip_at_zero,
     estimate_variance,
     gsjs_estimate,
     hkt_estimate,
@@ -193,7 +192,7 @@ class TestEstimateVariance:
             9.0 * rice_estimate(make_sample(ys)), rel=1e-12
         )
 
-    def test_negative_values_reported_and_clippable(self):
+    def test_negative_values_reported(self):
         n = 80
         xs = np.arange(1, n + 1) / (n + 1.0)
         amp = (1.02 - xs) ** 2
@@ -203,12 +202,6 @@ class TestEstimateVariance:
         )
         assert est.provenance.has_negative_values
         assert np.any(est.values < 0.0)
-        clipped = clip_at_zero(est)
-        assert np.all(clipped.values >= 0.0)
-        assert clipped.provenance.clipped_at_zero
-        assert not est.provenance.clipped_at_zero
-        kept = est.values >= 0.0
-        assert np.array_equal(clipped.values[kept], est.values[kept])
 
 
 class TestContrastDistribution:

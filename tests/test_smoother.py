@@ -315,7 +315,9 @@ def test_fit_on_grid_single_point_and_validation():
     config = SmootherConfig(0.3, 1)
     fits = fit_on_grid(xs, zs, config, [0.5])
     assert len(fits) == 1
-    for grid in ([], [[0.5]], [0.9, 0.1], [0.5, 1.2]):
+    nan = float("nan")
+    for grid in ([], [[0.5]], [0.9, 0.1], [0.5, 1.2],
+                 [0.2, nan, 0.1], [nan], [0.5, nan]):
         with pytest.raises(BadParameterError):
             fit_on_grid(xs, zs, config, grid)
 

@@ -1,4 +1,5 @@
-"""Print the sha256 of every file the README commands write.
+"""Print the sha256 of every file the README commands write, and of
+every demo's stdout.
 
     python tools/readme_digests.py SRC_DIR
 
@@ -6,12 +7,17 @@ Imports diffvar from SRC_DIR.  In a temporary directory it writes the
 sample of ``generate_sample(smooth_scenario(2000), 7)`` as data.csv and
 runs the five README commands, plus ``estimate --bandwidth 0.2`` and
 ``estimate --bandwidth 0.0003 --expand --degree 2``, through
-``diffvar.cli.main``.  Run it on two source trees and diff the printouts
-to check that a change moves no output byte.
+``diffvar.cli.main``.  It then runs each script in ``demos/`` in-process
+and prints one ``demos/<name> <sha256 of its stdout>`` line.  Run it on
+two source trees and diff the printouts to check that a change moves no
+output byte.
 """
 
+import contextlib
 import hashlib
+import io
 import os
+import runpy
 import sys
 import tempfile
 from pathlib import Path
@@ -22,6 +28,7 @@ sys.path.insert(0, os.path.abspath(sys.argv[1]))
 from diffvar.cli import main  # noqa: E402
 from diffvar.simlab import generate_sample, smooth_scenario  # noqa: E402
 
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 ESTIMATE = "estimate --input data.csv --output {} --bandwidth "
 COMMANDS = [
     ESTIMATE + "cv --seed 7",
@@ -33,6 +40,11 @@ COMMANDS = [
     "diffseq --optimal 3 --output {}",
 ]
 
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 with tempfile.TemporaryDirectory() as tmp:
     os.chdir(tmp)
     sample = generate_sample(smooth_scenario(2000), 7)
@@ -43,4 +55,10 @@ with tempfile.TemporaryDirectory() as tmp:
         if main(command.format(output).split()) != 0:
             sys.exit(f"failed: diffvar {command.format(output)}")
     for path in sorted(Path(".").iterdir()):
-        print(path.name, hashlib.sha256(path.read_bytes()).hexdigest())
+        print(path.name, sha256(path.read_bytes()))
+
+for demo in DEMOS:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        runpy.run_path(str(demo), run_name="__main__")
+    print(f"demos/{demo.name}", sha256(stdout.getvalue().encode()))
