@@ -10,9 +10,10 @@ input or a file that cannot be written, 3 computation failure.  Every
 numeric flag is parsed and range-checked by its argparse type, so a bad
 value exits 1 with one line naming the flag.  Simulation subcommands
 require an explicit --seed, a non-negative integer; nothing is ever
-wall-clock seeded.  A command writes all of its files or none: each is
-staged as a temp file and renamed into place once all are staged, so a
-failed run leaves no file behind, partial or whole.
+wall-clock seeded.  A repeated ``simulate --x0`` value counts once.  A
+command writes all of its files or none: each is staged as a temp file
+and renamed into place once all are staged, so a failed run leaves no
+file behind, partial or whole.
 """
 
 from __future__ import annotations
@@ -290,19 +291,13 @@ def _build_scenario(args) -> simlab.Scenario:
         law = simlab.ErrorLaw(args.error_law, df=args.df)
         mean_fn = _parse_function(args.mean)
         var_fn = _parse_function(args.variance)
-        scenario = simlab.Scenario(
+        return simlab.Scenario(
             label=f"cli-{mean_fn.name}-{var_fn.name}-n{args.n}",
             mean_fn=mean_fn,
             var_fn=var_fn,
             n=args.n,
             error_law=law,
-            variance_floor=0.0,  # the positivity check below is stricter
         )
-        # raises on a non-finite mean or variance on the design
-        _, _, sd = simlab._design(scenario)
-        if np.any(sd <= 0.0):
-            raise _UsageError("variance function must be positive on the design")
-        return scenario
     except DiffvarError as exc:
         # scenario configuration comes entirely from flags
         raise _UsageError(str(exc)) from exc
@@ -368,10 +363,6 @@ def _cmd_normality(args) -> int:
 
 
 def _cmd_diffseq(args) -> int:
-    chosen = [args.optimal is not None, args.standard is not None,
-              args.validate is not None]
-    if sum(chosen) != 1:
-        raise _UsageError("choose exactly one of --optimal, --standard, --validate")
     if args.optimal is not None:
         seq = _optimal_sequence(args.optimal, "--optimal")
     elif args.standard is not None:
@@ -436,7 +427,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mean", default="sine:offset=2,amplitude=1")
     p.add_argument("--variance", default="sine:offset=0.5,amplitude=0.25")
     p.add_argument("--x0", type=_UNIT_POINT, action="append",
-                   help="pointwise risk location (repeatable)")
+                   help="pointwise risk location (repeatable; a repeat counts once)")
     p.add_argument("--no-global", action="store_true")
     _add_estimator_flags(p, "rate")
     p.set_defaults(func=_cmd_simulate)
@@ -470,12 +461,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("diffseq", parents=[output],
                        help="construct or validate difference sequences")
-    p.add_argument("--optimal", type=_at_least(1), default=None, metavar="R",
-                   help="compute the variance-minimizing order-R sequence")
-    p.add_argument("--standard", default=None,
-                   choices=["first_difference", "gsjs"])
-    p.add_argument("--validate", default=None, metavar="C0,C1,...",
-                   help="check a comma-separated coefficient list")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--optimal", type=_at_least(1), default=None, metavar="R",
+                      help="compute the variance-minimizing order-R sequence")
+    mode.add_argument("--standard", default=None,
+                      choices=["first_difference", "gsjs"])
+    mode.add_argument("--validate", default=None, metavar="C0,C1,...",
+                      help="check a comma-separated coefficient list")
     p.set_defaults(func=_cmd_diffseq)
 
     return parser

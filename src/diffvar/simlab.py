@@ -8,9 +8,10 @@ inspects the bias/variance structure in the bandwidth, runs normality
 diagnostics of the estimator's replication distribution, and compares
 rough-mean against flat-mean risk.
 
-The design is fixed within an experiment, so every experiment runs
-through one replication engine that evaluates the scenario's mean and
-variance on the design once; each replication only draws its noise.
+A scenario evaluates its mean and variance on its fixed design once,
+when it is built, and rejects a mean that is not finite there or a
+variance that is not finite and positive there.  Every experiment runs
+through one replication engine, and each replication only draws its noise.
 An :class:`EstimatorConfig` (see :mod:`diffvar.estimator`) likewise
 builds its weights once per experiment and each replication applies them.
 
@@ -165,9 +166,11 @@ class Scenario:
     """A complete simulation configuration.
 
     ``design`` is either None (equispaced x_i = i/(n+1)) or an explicit
-    strictly increasing vector inside (0, 1) of length n.
-    ``variance_floor`` is the declared lower bound of the variance
-    function on the design, which every sample drawn from it enforces.
+    strictly increasing vector inside (0, 1) of length n.  Building a
+    scenario evaluates it on the design: ``xs``, ``mean`` and ``sd`` hold
+    the abscissae, the mean and the standard deviation there, read-only,
+    and a mean that is not finite or a variance that is not finite and
+    positive raises :class:`BadScenarioError`.
     """
 
     label: str
@@ -175,31 +178,40 @@ class Scenario:
     var_fn: FunctionSpec
     n: int
     error_law: ErrorLaw = ErrorLaw("gaussian")
-    variance_floor: float = 0.25
     design: np.ndarray | None = None
+    xs: np.ndarray = field(init=False, repr=False)
+    mean: np.ndarray = field(init=False, repr=False)
+    sd: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 2:
             raise BadScenarioError(f"need n >= 2, got {self.n}")
-        if not self.variance_floor >= 0.0:
-            raise BadScenarioError(
-                f"variance_floor must be >= 0, got {self.variance_floor}"
-            )
-        if self.design is not None:
-            d = np.asarray(self.design, dtype=float)
-            object.__setattr__(self, "design", d)
+        if self.design is None:
+            xs = np.arange(1, self.n + 1) / (self.n + 1.0)
+        else:
+            xs = np.array(self.design, dtype=float)
+            object.__setattr__(self, "design", xs)
             # written so that a NaN fails each check
-            if d.size != self.n or not np.all(np.diff(d) > 0):
+            if xs.size != self.n or not np.all(np.diff(xs) > 0):
                 raise BadScenarioError(
                     "explicit design must be strictly increasing of length n"
                 )
-            if not (d[0] > 0.0 and d[-1] < 1.0):
+            if not (xs[0] > 0.0 and xs[-1] < 1.0):
                 raise BadScenarioError("design points must lie inside (0, 1)")
-
-    def design_points(self) -> np.ndarray:
-        if self.design is not None:
-            return self.design
-        return np.arange(1, self.n + 1) / (self.n + 1.0)
+        mean = np.asarray(self.mean_fn(xs), dtype=float)
+        variances = np.asarray(self.var_fn(xs), dtype=float)
+        for role, fn, values in (("mean", self.mean_fn, mean),
+                                 ("variance", self.var_fn, variances)):
+            if not np.all(np.isfinite(values)):
+                raise BadScenarioError(
+                    f"{role} function {fn.name!r} is not finite on the design"
+                )
+        if not np.all(variances > 0.0):
+            raise BadScenarioError("variance function must be positive on the design")
+        # every sample drawn from the scenario shares these arrays
+        for name, values in (("xs", xs), ("mean", mean), ("sd", np.sqrt(variances))):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     def to_dict(self) -> dict:
         return {
@@ -261,47 +273,15 @@ def quadratic_variance_scenario(n: int) -> Scenario:
     )
 
 
-def _design(scenario: Scenario):
-    """Evaluate the scenario on its fixed design: (xs, mean, sd).
-
-    Raises :class:`BadScenarioError` when the mean or the variance is not
-    finite on the design, when the variance is negative, or when it falls
-    below the scenario's ``variance_floor``.
-    """
-    xs = scenario.design_points()
-    mean = np.asarray(scenario.mean_fn(xs), dtype=float)
-    variances = np.asarray(scenario.var_fn(xs), dtype=float)
-    for role, fn, values in (("mean", scenario.mean_fn, mean),
-                             ("variance", scenario.var_fn, variances)):
-        if not np.all(np.isfinite(values)):
-            raise BadScenarioError(
-                f"{role} function {fn.name!r} is not finite on the design"
-            )
-    if np.any(variances < 0.0):
-        raise BadScenarioError("variance function is negative on the design")
-    if np.any(variances < scenario.variance_floor):
-        raise BadScenarioError(
-            "variance function falls below the declared lower bound "
-            f"{scenario.variance_floor}"
-        )
-    return xs, mean, np.sqrt(variances)
-
-
-def _draw(scenario: Scenario, design, seed) -> Sample:
-    """One sample on an evaluated design: only the noise depends on the seed."""
-    xs, mean, sd = design
-    eps = scenario.error_law.draw(np.random.default_rng(seed), xs.size)
-    return Sample(xs, mean + sd * eps)
+def _draw(scenario: Scenario, seed) -> Sample:
+    """One sample of the scenario: only the noise depends on the seed."""
+    eps = scenario.error_law.draw(np.random.default_rng(seed), scenario.n)
+    return Sample(scenario.xs, scenario.mean + scenario.sd * eps)
 
 
 def generate_sample(scenario: Scenario, seed) -> Sample:
-    """Draw one dataset from the scenario, deterministically in the seed.
-
-    The scenario's ``variance_floor`` is enforced; declare it 0.0 to
-    simulate degenerate cases such as exactly noise-free data.  The
-    experiments draw the same samples without re-evaluating the design.
-    """
-    return _draw(scenario, _design(scenario), _seed_sequence(seed))
+    """Draw one dataset from the scenario, deterministically in the seed."""
+    return _draw(scenario, _seed_sequence(seed))
 
 
 # --- estimators as callables ---------------------------------------------
@@ -314,13 +294,20 @@ def _describe(estimator) -> dict | str:
 
 # --- replication engine ---------------------------------------------------
 
+def _seed_record(seed):
+    """A checked seed as JSON: the int, or the SeedSequence's keyword arguments."""
+    if isinstance(seed, np.random.SeedSequence):
+        return {"entropy": seed.entropy, "spawn_key": seed.spawn_key,
+                "pool_size": seed.pool_size,
+                "n_children_spawned": seed.n_children_spawned}
+    return int(seed)
+
+
 def _seed_sequence(seed) -> np.random.SeedSequence:
     """A master seed: a non-negative integer or a SeedSequence, never entropy."""
     if isinstance(seed, np.random.SeedSequence):
         # a copy: spawning from the caller's object would advance it
-        return np.random.SeedSequence(
-            seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size,
-            n_children_spawned=seed.n_children_spawned)
+        return np.random.SeedSequence(**_seed_record(seed))
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise BadParameterError(
             f"seed must be a non-negative integer or a SeedSequence, got {seed!r}")
@@ -330,10 +317,8 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
 def _replicate(scenarios, replications: int, seed, rep_fn):
     """The replication engine: rep_fn(*samples) once per replication.
 
-    Each scenario's design is evaluated once, before the first
-    replication, so a design check fails here; replication i draws every
-    scenario's sample from the i-th stream spawned from ``seed`` (common
-    random numbers across scenarios).
+    Replication i draws every scenario's sample from the i-th stream
+    spawned from ``seed`` (common random numbers across scenarios).
 
     Returns (results, failures): the results of the replications that
     succeeded, in order, and a list of (index, message) for the others.
@@ -342,12 +327,10 @@ def _replicate(scenarios, replications: int, seed, rep_fn):
     """
     if replications < 2:
         raise BadParameterError("need at least 2 replications")
-    designs = [_design(s) for s in scenarios]
     results, failures = [], []
     for i, child in enumerate(_seed_sequence(seed).spawn(replications)):
         try:
-            results.append(rep_fn(*(_draw(s, d, child)
-                                     for s, d in zip(scenarios, designs))))
+            results.append(rep_fn(*(_draw(s, child) for s in scenarios)))
         except DiffvarError as exc:
             failures.append((i, f"{type(exc).__name__}: {exc}"))
     return results, failures
@@ -445,7 +428,7 @@ class RiskReport:
     scenario: dict
     estimator: dict | str
     replications: int
-    seed: int
+    seed: int | dict
     pointwise: dict
     global_risk: RiskValue | None
     grid_margin: float
@@ -469,16 +452,19 @@ def risk_report(
     points=(), include_global: bool = True,
     margin: float = 0.05, grid_size: int = 101,
 ) -> RiskReport:
-    """Bundle pointwise risks at ``points`` and optionally the global risk."""
+    """Bundle pointwise risks at ``points`` and optionally the global risk.
+
+    A repeated point counts once.  The report records ``seed`` so that it
+    reruns from its own JSON: ``np.random.SeedSequence(**seed)`` for a dict.
+    """
+    points = list(dict.fromkeys(float(x0) for x0 in points))
     if not points and not include_global:
         raise BadParameterError("nothing to do: no points and no global risk")
     if include_global:  # a bad margin or grid size fails before any replication
         _margin_grid(margin, grid_size)
-    ss = _seed_sequence(seed).spawn(len(tuple(points)) + 1)
-    pw = {}
-    for k, x0 in enumerate(points):
-        pw[float(x0)] = pointwise_risk(scenario, estimator, float(x0),
-                                       replications, ss[k])
+    ss = _seed_sequence(seed).spawn(len(points) + 1)
+    pw = {x0: pointwise_risk(scenario, estimator, x0, replications, child)
+          for x0, child in zip(points, ss)}
     gr = None
     if include_global:
         gr = global_risk(scenario, estimator, replications, ss[-1], margin, grid_size)
@@ -486,7 +472,7 @@ def risk_report(
         scenario=scenario.to_dict(),
         estimator=_describe(estimator),
         replications=replications,
-        seed=int(seed) if isinstance(seed, (int, np.integer)) else -1,
+        seed=_seed_record(seed),
         pointwise=pw,
         global_risk=gr,
         grid_margin=margin,
@@ -751,7 +737,7 @@ def bias_variance_experiment(
         )
     grid = _point_grid(x0)
     operators = [
-        variance_operator(scenario.design_points(), seq, SmootherConfig(float(h)), grid)
+        variance_operator(scenario.xs, seq, SmootherConfig(float(h)), grid)
         for h in bandwidths
     ]
     v_true = float(np.asarray(scenario.var_fn(grid))[0])

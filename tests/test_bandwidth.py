@@ -218,7 +218,7 @@ class TestCvSelect:
             BandwidthGrid(grid), folds=5, seed=11,
         )
 
-        xs = scenario.design_points()
+        xs = scenario.xs
         centers = pseudoresiduals(simlab.generate_sample(scenario, 0), FD).center_xs
         eval_grid = np.linspace(0.05, 0.95, 21)
         v_true = 0.5 + 0.25 * np.sin(2 * np.pi * eval_grid)

@@ -289,6 +289,21 @@ class TestSimulate:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"{role} function 'constant' is not finite on the design"]
 
+    @pytest.mark.parametrize("spec", ["sine:offset=0,amplitude=1", "constant:value=0"])
+    def test_variance_not_positive_is_usage_error(self, capsys, spec):
+        assert main(_SIM + ["--variance", spec]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["variance function must be positive on the design"]
+
+    def test_a_repeated_x0_counts_once(self, capsys):
+        argv = ["simulate", "--n", "200", "--replications", "5", "--seed", "1",
+                "--bandwidth", "0.3", "--no-global", "--x0", "0.5"]
+        outs = []
+        for extra in (["--x0", "0.5"], []):
+            assert main(argv + extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
     def test_overflowing_contrasts_fail_every_replication(self, tmp_path, capsys):
         out = tmp_path / "o.json"
         code = main(_SIM + ["--x0", "0.5", "--mean", "sine:offset=0,amplitude=1e200",

@@ -102,7 +102,7 @@ class TestErrorLaw:
 class TestScenario:
     def test_equispaced_design(self):
         s = smooth_scenario(4)
-        assert np.allclose(s.design_points(), [0.2, 0.4, 0.6, 0.8])
+        assert np.allclose(s.xs, [0.2, 0.4, 0.6, 0.8])
 
     def test_explicit_design_validation(self):
         fn = function_spec("constant", value=1.0)
@@ -124,11 +124,18 @@ class TestScenario:
         assert scen.label == "constant-n500"
         assert scen.to_dict()["error_law"]["kind"] == "scaled_uniform"
 
-    def test_variance_floor_validation(self):
-        fn = function_spec("constant", value=1.0)
-        with pytest.raises(BadScenarioError):
-            Scenario("bad", fn, fn, n=4, variance_floor=-0.1)
-        assert Scenario("ok", fn, fn, n=4, variance_floor=0.0).variance_floor == 0.0
+    def test_small_positive_variance_builds_and_draws(self):
+        scen = Scenario("small-var", function_spec("constant", value=1.0),
+                        function_spec("constant", value=0.1), n=50)
+        assert np.array_equal(scen.sd, np.full(50, np.sqrt(0.1)))
+        sample = generate_sample(scen, 0)
+        assert sample.n == 50 and np.all(np.isfinite(sample.ys))
+        with pytest.raises(ValueError, match="read-only"):
+            sample.xs[0] = 0.5  # shared with the scenario
+
+    def test_replace_rechecks_the_scenario(self):
+        with pytest.raises(BadScenarioError, match="positive on the design"):
+            replace(smooth_scenario(50), var_fn=function_spec("constant", value=0.0))
 
 
 class TestGenerateSample:
@@ -160,19 +167,15 @@ class TestGenerateSample:
     def test_delta_check(self):
         fn0 = function_spec("constant", value=0.0)
         mean = function_spec("constant", value=3.0)
-        scen = Scenario("zero-var", mean, fn0, n=50)  # default variance_floor 0.25
         with pytest.raises(BadScenarioError):
-            generate_sample(scen, 0)
-        sample = generate_sample(replace(scen, variance_floor=0.0), 0)
-        assert np.array_equal(sample.ys, np.full(50, 3.0))
+            Scenario("zero-var", mean, fn0, n=50)
 
     def test_negative_variance_rejected(self):
-        scen = Scenario(
-            "neg", function_spec("constant", value=0.0),
-            function_spec("sine", offset=0.0, amplitude=1.0), n=50,
-        )
         with pytest.raises(BadScenarioError):
-            generate_sample(scen, 0)
+            Scenario(
+                "neg", function_spec("constant", value=0.0),
+                function_spec("sine", offset=0.0, amplitude=1.0), n=50,
+            )
 
     @pytest.mark.parametrize("mean, var, role", [
         (float("nan"), 1.0, "mean"),
@@ -180,15 +183,14 @@ class TestGenerateSample:
         (0.0, float("nan"), "variance"),
     ])
     def test_non_finite_functions_rejected(self, mean, var, role):
-        scen = Scenario("nonfinite", function_spec("constant", value=mean),
-                        function_spec("constant", value=var), n=50)
         with pytest.raises(BadScenarioError,
                            match=f"{role} function 'constant' is not finite"):
-            generate_sample(scen, 0)
+            Scenario("nonfinite", function_spec("constant", value=mean),
+                     function_spec("constant", value=var), n=50)
 
     def test_moments_match_scenario(self):
         scen = smooth_scenario(50)
-        xs = scen.design_points()
+        xs = scen.xs
         idx = 25
         reps = 20_000
         draws = np.empty(reps)
@@ -434,7 +436,7 @@ class TestReplicationEngine:
         assert engine == reference
 
     def test_design_is_evaluated_once_per_experiment(self, monkeypatch):
-        scen = quadratic_variance_scenario(200)  # variance: quadratic
+        template = quadratic_variance_scenario(200)  # variance: quadratic
         est = EstimatorConfig(FD, SmootherConfig(0.3, 1))
         calls = []
         quadratic = simlab._FUNCTIONS["quadratic"]
@@ -444,30 +446,20 @@ class TestReplicationEngine:
             return quadratic(*args, **kwargs)
 
         monkeypatch.setitem(simlab._FUNCTIONS, "quadratic", counting)
+        scen = replace(template)  # builds, and so evaluates, the scenario anew
+        assert len(calls) == 1
         counts = []
         for replications in (500, 1000):
             calls.clear()
             normality_experiment(scen, est, 0.5, replications, 1)
             counts.append(len(calls))
-        assert counts == [1, 1]
+        assert counts == [0, 0]
 
     def test_design_failure_raises_before_any_replication(self):
-        scen = Scenario("zero-var", function_spec("constant", value=0.0),
-                        function_spec("constant", value=0.0), n=50)
-
-        def est(sample, grid):
-            raise AssertionError("a replication ran")
-
-        experiments = [
-            lambda: pointwise_risk(scen, est, 0.5, 5, 0),
-            lambda: global_risk(scen, est, 5, 0),
-            lambda: normality_experiment(scen, est, 0.5, 500, 0),
-            lambda: bias_variance_experiment(scen, FD, [0.2, 0.4], 0.5, 5, 0),
-        ]
-        for run in experiments:
-            # its own message, not "every replication failed"
-            with pytest.raises(BadScenarioError, match="declared lower bound"):
-                run()
+        # raised while the scenario is built, so no experiment can replicate it
+        with pytest.raises(BadScenarioError, match="positive on the design"):
+            Scenario("zero-var", function_spec("constant", value=0.0),
+                     function_spec("constant", value=0.0), n=50)
 
 
 class TestRiskReport:
@@ -506,7 +498,23 @@ class TestRiskReport:
                    for seed in (5, np.int64(5), np.random.SeedSequence(5))]
         assert dump_json(reports[1]) == dump_json(reports[0])
         assert json.loads(dump_json(reports[1]))["seed"] == 5
-        assert reports[2].seed == -1
+        assert reports[2].seed["entropy"] == 5
+
+    def test_a_report_reruns_from_its_recorded_seed(self):
+        scen = smooth_scenario(300)
+        est = EstimatorConfig(FD, SmootherConfig(0.25, 1))
+        seed = np.random.SeedSequence(5).spawn(3)[1]
+        text = dump_json(risk_report(scen, est, 5, seed, points=(0.5,), grid_size=21))
+        rebuilt = np.random.SeedSequence(**json.loads(text)["seed"])
+        again = risk_report(scen, est, 5, rebuilt, points=(0.5,), grid_size=21)
+        assert dump_json(again) == text
+
+    def test_a_repeated_point_counts_once(self):
+        scen = smooth_scenario(200)
+        est = EstimatorConfig(FD, SmootherConfig(0.3, 1))
+        reports = [dump_json(risk_report(scen, est, 5, 1, points=points, grid_size=21))
+                   for points in ((0.5, 0.5), (0.5,))]
+        assert reports[0] == reports[1]
 
     def test_overflowing_contrasts_fail_every_replication(self):
         scen = Scenario("huge-mean", function_spec("sine", offset=0.0, amplitude=1e200),
@@ -799,7 +807,7 @@ class TestDeterminism:
         schedule = rate_schedule(FD, gamma=2.0, scale=0.8, degree=1)
         runs = {
             "pointwise": lambda seed: pointwise_risk(scen, est, 0.5, 5, seed),
-            # the report's seed field records only an integer seed
+            # the report's seed field records the seed as given
             "report": lambda seed: {**risk_report(scen, est, 5, seed, points=(0.5,),
                                                   grid_size=21).to_dict(), "seed": 0},
             "rates": lambda seed: rate_experiment(scens, schedule, 6, seed,

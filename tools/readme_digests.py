@@ -5,12 +5,13 @@ every demo's stdout.
 
 Imports diffvar from SRC_DIR.  In a temporary directory it writes the
 sample of ``generate_sample(smooth_scenario(2000), 7)`` as data.csv and
-runs the five README commands, plus ``estimate --bandwidth 0.2`` and
-``estimate --bandwidth 0.0003 --expand --degree 2``, through
-``diffvar.cli.main``.  It then runs each script in ``demos/`` in-process
-and prints one ``demos/<name> <sha256 of its stdout>`` line.  Run it on
-two source trees and diff the printouts to check that a change moves no
-output byte.
+runs the five README commands through ``diffvar.cli.main``, plus
+variants that reach other paths: ``estimate`` with a fixed bandwidth,
+with ``--expand``, and with ``--bandwidth rate``; ``simulate`` at two
+points with student-t errors; and ``rates --pointwise``.  It then runs
+each script in ``demos/`` in-process and prints one
+``demos/<name> <sha256 of its stdout>`` line.  Run it on two source
+trees and diff the printouts to check that a change moves no output byte.
 """
 
 import contextlib
@@ -30,12 +31,17 @@ from diffvar.simlab import generate_sample, smooth_scenario  # noqa: E402
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 ESTIMATE = "estimate --input data.csv --output {} --bandwidth "
+RATES = "rates --gamma 2 --n 512 --n 1024 --n 2048 --n 4096 --replications 50 --seed 3 "
 COMMANDS = [
     ESTIMATE + "cv --seed 7",
     ESTIMATE + "0.2",
     ESTIMATE + "0.0003 --expand --degree 2",
+    ESTIMATE + "rate --gamma 2",
     "simulate --n 2000 --replications 200 --seed 11 --x0 0.5 --bandwidth 0.15 --output {}",
-    "rates --gamma 2 --n 512 --n 1024 --n 2048 --n 4096 --replications 50 --seed 3 --output {}",
+    "simulate --n 2000 --replications 200 --seed 11 --x0 0.3 --x0 0.7 --bandwidth 0.15"
+    " --error-law student_t --df 10 --output {}",
+    RATES + "--output {}",
+    RATES + "--pointwise 0.5 --output {}",
     "normality --n 2000 --replications 1000 --seed 2 --output {}",
     "diffseq --optimal 3 --output {}",
 ]
