@@ -1,7 +1,7 @@
 """Local polynomial regression with explicit effective weights.
 
 At an evaluation point x, the responses in the window, one slice of the
-ordered abscissae, are fit by weighted least squares on polynomials of
+ascending abscissae, are fit by weighted least squares on polynomials of
 (x - x_i); the intercept is the smoothed value.  Because it is linear in
 the responses, each fit also yields the effective weight that every
 observation contributes to the intercept.  Those weights sum to one and
@@ -11,9 +11,11 @@ design alone, :func:`weight_operator` collects them for a whole grid
 once, and applying it to any responses on that design is one weighted
 sum per grid point.
 
-Each point evaluates the kernel once and takes one thin SVD,
-D = U diag(s) V^T, of the sqrt-weight-scaled, bandwidth-rescaled local
-design; the least-squares hat matrix is V diag(1/s) U^T diag(sqrt w).
+Each window is found by searchsorted on the design, which must be
+ascending.  The sqrt-weight-scaled, bandwidth-rescaled local designs are
+stacked into blocks, and each block takes one batched thin SVD,
+D = U diag(s) V^T; the least-squares hat matrix is V diag(1/s) U^T
+diag(sqrt w).
 The normal equations D^T D, which would square the condition number,
 are never formed.  The singular values give s_min/s_max, the
 reciprocal condition of D; below 1e-12, as when ties leave fewer than
@@ -49,6 +51,8 @@ __all__ = [
 ]
 
 RCOND_MIN = 1e-12
+# design elements factorized by one stacked SVD
+_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -131,61 +135,141 @@ class LocalFit:
         return float(self.coefficients[0])
 
 
-def _factorize(xs: np.ndarray, config: SmootherConfig, x: float):
-    """Window and one thin SVD of the scaled local design at x.
+def _ascending(values, what: str) -> np.ndarray:
+    """The values as floats, once checked to be 1-d and ascending."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise BadParameterError(f"{what} must be a 1-d sequence")
+    # written so that a NaN fails it
+    if not np.all(np.diff(values) >= 0):
+        raise BadParameterError(f"{what} must be sorted ascending")
+    return values
 
-    Returns (effective weights, rcond, bandwidth used, local hat matrix),
-    where row q of the hat matrix maps the window's responses to the
-    coefficient of ((x - x_i)/h)^q.  The window slices xs from the first
-    to the last positively weighted point (on unsorted xs, a zero-weight
-    point inside it gets weight 0), grown when ``config.expand`` allows; ties
-    short of degree+1 distinct abscissae fail the rcond check.
+
+def _windows(xs, kern: KernelSpec, points, hs):
+    """First index and length of each point's positively weighted run of xs.
+
+    searchsorted brackets |x - x_i| <= h, widened by a relative 1e-9 that
+    no rounding can cross, and the kernel decides inside the bracket.
     """
+    reach = hs * (1.0 + 1e-9)
+    lo = np.searchsorted(xs, points - reach, side="left")
+    width = np.searchsorted(xs, points + reach, side="right") - lo
+    span = np.arange(width.max())
+    inside = span < width[:, None]
+    u = (points[:, None] - xs[np.minimum(lo[:, None] + span, xs.size - 1)]) / hs[:, None]
+    weighted = (kern(u) > 0.0) & inside
+    # on an ascending design the run is preceded only by zero-weight points left of x
+    lead = np.count_nonzero(inside & ~weighted & (u > 0.0), axis=1)
+    return lo + lead, np.count_nonzero(weighted, axis=1)
+
+
+def _factor_block(xs, kern: KernelSpec, need: int, points, start, count, hs,
+                  all_rows: bool):
+    """(rcond, hat rows) of a block of points, from one stacked thin SVD.
+
+    Each local design is padded with zero rows after its last point.  Row
+    q of a hat maps the window's responses to the coefficient of
+    ((x - x_i)/h)^q; only row 0 is kept unless ``all_rows``.
+    """
+    span = np.arange(count.max())
+    inside = span < count[:, None]
+    u = (points[:, None] - xs[np.minimum(start[:, None] + span, xs.size - 1)]) / hs[:, None]
+    u = np.where(inside, u, 0.0)
+    sqrt_w = np.sqrt(kern(u)) * inside
+    # column q is u**q * sqrt_w, the power built as np.vander builds it;
+    # the columns are stored as rows, so each is written in one sweep
+    columns = np.empty((points.size, need, span.size))
+    columns[:, 0] = sqrt_w
+    power = u
+    for q in range(1, need):
+        columns[:, q] = power * sqrt_w
+        power = power * u
+    left, sv, right_t = np.linalg.svd(columns.transpose(0, 2, 1), full_matrices=False)
+    # column 0 of a design is sqrt_w, positive at both ends, so sv[:, 0] > 0
+    rcond = sv[:, -1] / sv[:, 0]
+    failed = np.flatnonzero(rcond < RCOND_MIN)
+    if failed.size:
+        p = failed[0]
+        raise RankDeficientError(f"local design at x={float(points[p])} has "
+                                 f"reciprocal condition {rcond[p]:.2e}")
+    # the whole product, then row 0: a product of row 0 alone rounds differently
+    hat = ((right_t.transpose(0, 2, 1) / sv[:, None, :])
+           @ (left.transpose(0, 2, 1) * sqrt_w[:, None, :]))
+    rows = hat if all_rows else hat[:, 0].copy()
+    rows.flags.writeable = False
+    return rcond, rows
+
+
+def _factorize(xs, config: SmootherConfig, points, all_rows: bool = False):
+    """Per point, in order: (effective weights, rcond, bandwidth used, hat rows).
+
+    The hat rows are all degree+1 rows with ``all_rows``, else row 0.  The
+    points go in blocks of at most ``_BLOCK`` design elements.  A failure
+    raises for the first failing point, and no point after a starved one
+    is factorized.
+    """
+    xs = _ascending(xs, "design")
+    points = np.asarray(points, dtype=float)
     need = config.degree + 1
     h = config.bandwidth
-    u = (x - xs) / h
-    k = config.kernel(u)
-    active = np.flatnonzero(k > 0.0)
-    expanded = active.size < need and config.expand and xs.size >= need
-    if expanded:
-        # nudge past the (degree+1)-th nearest abscissa so the compact
-        # kernel gives it strictly positive weight
-        h = min(max(h, np.sort(np.abs(xs - x))[need - 1] * (1.0 + 1e-9)), 1.0)
-        u = (x - xs) / h
-        k = config.kernel(u)
-        active = np.flatnonzero(k > 0.0)
-    if active.size < need:
-        raise InsufficientSupportError(f"{active.size} positively weighted points "
-                                       f"at x={x} with h={h}; need {need}")
-    window = slice(int(active[0]), int(active[-1]) + 1)
-    sqrt_w = np.sqrt(k[window])
-    # weighted |u| <= 1; a zero-weight u**degree (unsorted xs) may overflow to inf
-    u_window = u[window].clip(-1.0, 1.0)
-    design = np.vander(u_window, need, increasing=True) * sqrt_w[:, None]
-    left, sv, right_t = np.linalg.svd(design, full_matrices=False)
-    # column 0 of the design is sqrt_w, positive at both ends, so sv[0] > 0
-    rcond = float(sv[-1] / sv[0])
-    if rcond < RCOND_MIN:
-        raise RankDeficientError(
-            f"local design at x={x} has reciprocal condition {rcond:.2e}"
-        )
-    hat = (right_t.T / sv) @ (left.T * sqrt_w)
-    # a copy, so that a stored operator keeps one row, not the whole hat
-    weights = EffectiveWeights(
-        eval_point=float(x), indices=window, weights=hat[0].copy(),
-        expanded=expanded,
-    )
-    return weights, rcond, h, hat
+    reach = h * (1.0 + 1e-9)
+    widest = np.max(np.searchsorted(xs, points + reach, side="right")
+                    - np.searchsorted(xs, points - reach, side="left"))
+    per_block = max(1, _BLOCK // (need * max(int(widest), 1)))
+    built = []
+    for first in range(0, points.size, per_block):
+        block = points[first:first + per_block]
+        hs = np.full(block.size, h)
+        start, count = _windows(xs, config.kernel, block, hs)
+        expanded = (count < need) & (config.expand and xs.size >= need)
+        if expanded.any():
+            # nudge past the (degree+1)-th nearest abscissa so the compact
+            # kernel gives it strictly positive weight
+            for p in np.flatnonzero(expanded):
+                nearest = np.partition(np.abs(xs - block[p]), need - 1)[need - 1]
+                hs[p] = min(max(h, nearest * (1.0 + 1e-9)), 1.0)
+            start[expanded], count[expanded] = _windows(
+                xs, config.kernel, block[expanded], hs[expanded])
+        starved = np.flatnonzero(count < need)
+        good = int(starved[0]) if starved.size else block.size
+        if good:
+            rcond, rows = _factor_block(xs, config.kernel, need, block[:good],
+                                        start[:good], count[:good], hs[:good], all_rows)
+            for p in range(good):
+                hat = rows[p, ..., :count[p]]
+                window = slice(int(start[p]), int(start[p] + count[p]))
+                weights = EffectiveWeights(float(block[p]), window,
+                                           hat[0] if all_rows else hat, bool(expanded[p]))
+                built.append((weights, float(rcond[p]), float(hs[p]), hat))
+        if starved.size:
+            raise InsufficientSupportError(
+                f"{count[good]} positively weighted points at x={float(block[good])} "
+                f"with h={float(hs[good])}; need {need}")
+    return built
 
 
 def effective_weights(xs, config: SmootherConfig, x: float) -> EffectiveWeights:
     """Intercept weights of the local fit at x, without responses.
 
-    The weights depend only on the design, so precomputing them lets a
-    fixed-design simulation reuse one factorization across replications.
+    ``xs`` must be ascending (ties allowed).  The weights depend only on
+    the design, so precomputing them lets a fixed-design simulation reuse
+    one factorization across replications.
     """
-    xs = np.asarray(xs, dtype=float)
-    return _factorize(xs, config, float(x))[0]
+    return _factorize(xs, config, [float(x)])[0][0]
+
+
+def _fits(xs, zs, config: SmootherConfig, points) -> list[LocalFit]:
+    zs = np.asarray(zs, dtype=float)
+    if np.shape(xs) != zs.shape:
+        raise ValueError("xs and zs must have the same shape")
+    fits = []
+    for weights, rcond, h, hat in _factorize(xs, config, points, all_rows=True):
+        # undo the (x - x_i)/h rescaling: coefficient q multiplies (x - x_i)^q
+        coefs = hat @ zs[weights.indices] / h ** np.arange(config.degree + 1)
+        fits.append(LocalFit(coefficients=coefs, weights=weights,
+                             condition_estimate=rcond, bandwidth=h))
+    return fits
 
 
 def fit_at(xs, zs, config: SmootherConfig, x: float) -> LocalFit:
@@ -194,8 +278,8 @@ def fit_at(xs, zs, config: SmootherConfig, x: float) -> LocalFit:
     Parameters
     ----------
     xs, zs : array_like, same length
-        Abscissae and responses.  xs need not be sorted; the window is
-        the slice from the first to the last positively weighted point.
+        Abscissae, ascending (ties allowed), and responses.  The window is
+        the slice of the positively weighted points.
     config : SmootherConfig
         With ``config.expand`` set, a starved window grows to the
         (degree+1)-th nearest abscissa; ``weights.expanded`` records it.
@@ -204,54 +288,40 @@ def fit_at(xs, zs, config: SmootherConfig, x: float) -> LocalFit:
 
     Raises
     ------
+    BadParameterError
+        When xs is not a 1-d ascending sequence, NaN included.
     InsufficientSupportError, RankDeficientError
         The latter also when ties leave < degree+1 distinct abscissae.
     """
-    xs = np.asarray(xs, dtype=float)
-    zs = np.asarray(zs, dtype=float)
-    if xs.shape != zs.shape:
-        raise ValueError("xs and zs must have the same shape")
-    weights, rcond, h, hat = _factorize(xs, config, float(x))
-    # undo the (x - x_i)/h rescaling: coefficient q multiplies (x - x_i)^q
-    coefs = hat @ zs[weights.indices] / h ** np.arange(config.degree + 1)
-    return LocalFit(
-        coefficients=coefs,
-        weights=weights,
-        condition_estimate=rcond,
-        bandwidth=h,
-    )
+    return _fits(xs, zs, config, [float(x)])[0]
 
 
 def _checked_grid(grid) -> np.ndarray:
     """The grid as floats, once checked to be sorted, nonempty and in [0, 1]."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
+    grid = _ascending(grid, "grid")
+    if grid.size == 0:
         raise BadParameterError("grid must be a nonempty 1-d sequence")
-    # written so that a NaN fails each check
-    if not np.all(np.diff(grid) >= 0):
-        raise BadParameterError("grid must be sorted ascending")
     if not (grid[0] >= 0.0 and grid[-1] <= 1.0):
         raise BadParameterError("grid values must lie in [0, 1]")
     return grid
 
 
 def fit_on_grid(xs, zs, config: SmootherConfig, grid) -> list[LocalFit]:
-    """Repeated fit_at over a sorted grid in [0, 1].
+    """:func:`fit_at` at every point of a sorted grid in [0, 1].
 
-    A failed fit raises with the offending point named in its message.
+    The grid is factorized as :func:`weight_operator` does it; a failed
+    fit raises with the offending point named in its message.
     """
-    return [fit_at(xs, zs, config, x) for x in _checked_grid(grid)]
+    return _fits(xs, zs, config, _checked_grid(grid))
 
 
 def weight_operator(xs, config: SmootherConfig, grid) -> WeightOperator:
     """Effective weights at every point of a sorted grid in [0, 1].
 
-    Each grid point is factorized once, with the same support, rcond and
-    expansion checks as :func:`fit_on_grid`; applying the operator to
-    responses on ``xs`` then equals the fitted values up to rounding.
-    A failed point raises as in :func:`fit_on_grid`.
+    ``xs`` must be ascending (ties allowed).  The checks are those of
+    :func:`fit_at`, and the first failing grid point raises; applying the
+    operator to responses on ``xs`` equals the fitted values up to rounding.
     """
     grid = _checked_grid(grid)
-    weights = tuple(effective_weights(xs, config, x) for x in grid)
+    weights = tuple(built[0] for built in _factorize(xs, config, grid))
     return WeightOperator(grid=grid, weights=weights)
-

@@ -362,15 +362,17 @@ class TestBoundEstimator:
 
 
 class TestFactorizationCounts:
-    """Fixed-design experiments factorize per grid point, not per replication."""
+    """Fixed-design experiments factorize each grid point once, not once per
+    replication."""
 
     @pytest.fixture
     def factorizations(self, monkeypatch):
+        # the points of every factorization, in order
         calls = []
         factorize = smoother._factorize
 
         def counting(*args, **kwargs):
-            calls.append(args[2])
+            calls.extend(args[2])
             return factorize(*args, **kwargs)
 
         monkeypatch.setattr(smoother, "_factorize", counting)

@@ -5,6 +5,7 @@ import pytest
 from scipy import linalg
 
 from diffvar.errors import BadParameterError, InsufficientSupportError, RankDeficientError
+from diffvar import smoother
 from diffvar.kernels import KERNEL_KINDS, KernelSpec, kernel
 from diffvar.smoother import (
     RCOND_MIN,
@@ -29,7 +30,7 @@ def wls_oracle(xs, zs, config, x):
     m = np.vander(x - xs[mask], config.degree + 1, increasing=True)
     a = m.T @ (k[mask, None] * m)
     coefs = np.linalg.solve(a, m.T @ (k[mask] * zs[mask]))
-    weights = np.linalg.solve(a, m.T @ np.diag(k[mask]))[0]
+    weights = np.linalg.solve(a, m.T * k[mask])[0]
     return coefs, np.nonzero(mask)[0], weights
 
 
@@ -176,44 +177,83 @@ def test_ties_count_once():
         fit_at(xs, zs, SmootherConfig(0.25, 2), 0.5)
 
 
-@pytest.mark.parametrize("degree", range(4))
-def test_permuted_design_gives_the_same_fit_and_weights(degree):
-    # the window is one slice; on an unsorted design it also holds
-    # zero-kernel points, whose zero design rows give them weight 0.0
-    rng = np.random.default_rng(300 + degree)
-    for kind in KERNEL_KINDS:
-        xs = random_design(rng)
-        zs = rng.standard_normal(xs.size)
-        perm = rng.permutation(xs.size)
-        config = SmootherConfig(0.25, degree, kernel(kind))
-        for x in (0.0, rng.uniform(0.2, 0.8), 1.0):
-            fit = fit_at(xs, zs, config, x)
-            shuffled = fit_at(xs[perm], zs[perm], config, x)
-            assert shuffled.value == pytest.approx(fit.value, rel=1e-10)
-            full, full_shuffled = np.zeros(xs.size), np.zeros(xs.size)
-            full[fit.weights.indices] = fit.weights.weights
-            full_shuffled[shuffled.weights.indices] = shuffled.weights.weights
-            assert (np.max(np.abs(full_shuffled - full[perm]))
-                    <= 1e-10 * np.max(np.abs(full)))
-            window = shuffled.weights.indices
-            outside = config.kernel((x - xs[perm][window]) / config.bandwidth) == 0.0
-            assert outside.any()
-            assert np.all(shuffled.weights.weights[outside] == 0.0)
+def test_a_design_that_is_not_ascending_and_1d_is_a_bad_parameter():
+    xs = np.linspace(0.01, 0.99, 50)
+    with_nan = xs.copy()
+    with_nan[20] = np.nan
+    permuted = np.random.default_rng(5).permutation(xs)
+    config = SmootherConfig(0.3, 1)
+    for bad in (with_nan, permuted, xs.reshape(5, 10)):
+        zs = np.ones(bad.shape)
+        for build in (lambda: effective_weights(bad, config, 0.5),
+                      lambda: fit_at(bad, zs, config, 0.5),
+                      lambda: fit_on_grid(bad, zs, config, [0.2, 0.5]),
+                      lambda: weight_operator(bad, config, [0.2, 0.5])):
+            with pytest.raises(BadParameterError):
+                build()
 
 
-def test_unsorted_design_with_underflowing_bandwidth_power():
-    # h**4 underflows, so u**4 of the far point 0.9 inside the window
-    # overflows; its zero kernel weight must still give it weight 0.0
-    config = SmootherConfig(1e-89, 4)
-    xs = np.array([0.0, 0.9, 1e-90, 2e-90, 3e-90, 4e-90])
-    weights = effective_weights(xs, config, 2e-90)
-    assert weights.weights[1] == 0.0
-    without = effective_weights(np.delete(xs, 1), config, 2e-90)
-    full = np.zeros(xs.size)
-    full[weights.indices] = weights.weights
-    reference = np.zeros(xs.size - 1)
-    reference[without.indices] = without.weights
-    assert np.allclose(np.delete(full, 1), reference, rtol=0.0, atol=1e-10)
+def first_point_failure(xs, config, grid):
+    """The error a point-by-point loop over the grid raises first."""
+    for x in grid:
+        try:
+            fit_at(xs, np.zeros(xs.size), config, x)
+        except (InsufficientSupportError, RankDeficientError) as exc:
+            return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("ties, want", [(0.2, RankDeficientError),
+                                        (0.8, InsufficientSupportError)])
+def test_a_grid_build_raises_for_its_first_failing_point(monkeypatch, ties, want):
+    # tied abscissae make the degree-1 design rank deficient at x=ties;
+    # x=0.5 has no abscissa within h
+    others = np.linspace(0.7, 0.9, 30) if ties < 0.5 else np.linspace(0.1, 0.3, 30)
+    xs = np.sort(np.concatenate([np.full(5, ties), others]))
+    config = SmootherConfig(0.05, 1)
+    grid = [0.2, 0.5, 0.8]
+    expected = first_point_failure(xs, config, grid)
+    assert expected[0] is want
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    for build in (lambda: weight_operator(xs, config, grid),
+                  lambda: fit_on_grid(xs, np.zeros(xs.size), config, grid)):
+        with pytest.raises(want) as info:
+            build()
+        assert (type(info.value), str(info.value)) == expected
+    # only x=0.2, before the starved point, is ever factorized
+    assert [shape[0] for shape in shapes] == [1, 1]
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_rows_across_block_boundaries_match_one_point_builds(kind):
+    # a gap wider than 2h starves x=0.5 alone, which expands
+    h = 0.1
+    xs = np.concatenate([np.linspace(0.0, 0.39, 2048), np.linspace(0.61, 1.0, 2048)])
+    grid = np.concatenate([np.linspace(0.0, 0.4, 500), [0.5], np.linspace(0.6, 1.0, 500)])
+    config = SmootherConfig(h, 3, kernel(kind), expand=True)
+    op = weight_operator(xs, config, grid)
+    assert op.expanded_points == (0.5,)
+    # the stacked designs fill many blocks
+    assert 4 * sum(w.weights.size for w in op.weights) > 10 * smoother._BLOCK
+    zs = np.zeros(xs.size)
+    for x, w in zip(grid, op.weights):
+        one = fit_at(xs, zs, config, x)
+        assert w.indices == one.weights.indices and w.expanded == one.weights.expanded
+        # a perturbation of the design moves the weights by about eps/rcond
+        scale = np.max(np.abs(one.weights.weights)) / one.condition_estimate
+        np.testing.assert_allclose(w.weights, one.weights.weights,
+                                   rtol=0, atol=1e-12 * scale)
+        if not w.expanded:
+            _, idx, weights = wls_oracle(xs, zs, config, x)
+            assert np.array_equal(np.arange(xs.size)[w.indices], idx)
+            assert np.max(np.abs(w.weights - weights)) <= 1e-12
 
 
 def test_expand_to_minimum():
@@ -276,13 +316,15 @@ def test_rcond_threshold_on_a_near_coincident_pair(factor, fits):
 
 
 def test_one_kernel_evaluation_and_one_svd_per_grid_point(monkeypatch):
-    calls = []
+    calls, svd_inputs = [], []
 
     def counting(owner, name):
         original = getattr(owner, name)
 
         def wrapped(*args, **kwargs):
             calls.append(name)
+            if name == "svd":
+                svd_inputs.append(args[0].shape)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapped)
@@ -294,8 +336,11 @@ def test_one_kernel_evaluation_and_one_svd_per_grid_point(monkeypatch):
     grid = np.linspace(0.1, 0.9, 5)
     fit_on_grid(xs, np.ones(xs.size), SmootherConfig(0.2, 2), grid)
     weight_operator(xs, SmootherConfig(0.2, 2), grid)
-    # no window here needs expanding, so nothing is evaluated twice
-    assert Counter(calls) == {"__call__": 10, "svd": 10}
+    # each build evaluates the kernel once over the searched brackets and
+    # once over the stacked windows, and takes one SVD of all 5 designs; no
+    # window here needs expanding, so nothing is evaluated a third time
+    assert Counter(calls) == {"__call__": 4, "svd": 2}
+    assert [shape[0] for shape in svd_inputs] == [5, 5]
 
 
 def test_fit_on_grid_matches_fit_at():
