@@ -134,6 +134,8 @@ def cv_select(
     The folds are deterministic; ``seed`` only labels the report as
     ``fold_assignment_seed``.
     """
+    if isinstance(folds, bool) or not isinstance(folds, (int, np.integer)):
+        raise BadParameterError(f"folds must be an integer, got {folds!r}")
     if folds < 2:
         raise BadParameterError(f"need folds >= 2, got {folds}")
     series = pseudoresiduals(sample, seq)

@@ -184,6 +184,8 @@ class Scenario:
     sd: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise BadScenarioError(f"n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise BadScenarioError(f"need n >= 2, got {self.n}")
         if self.design is None:

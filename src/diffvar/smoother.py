@@ -2,9 +2,9 @@
 
 At an evaluation point x, the responses in the window, one slice of the
 ascending abscissae, are fit by weighted least squares on polynomials of
-(x - x_i); the intercept is the smoothed value.  Because it is linear in
-the responses, each fit also yields the effective weight that every
-observation contributes to the intercept.  Those weights sum to one and
+(x - x_i); a fit returns only the intercept, the smoothed value, which
+every entry point computes as one product of the responses with the
+observations' effective weights.  Those weights sum to one and
 annihilate (x - x_i)^q for q = 1..degree, which is what downstream risk
 and normality experiments rely on.  Since the weights depend on the
 design alone, :func:`weight_operator` collects them for a whole grid
@@ -74,6 +74,8 @@ class SmootherConfig:
             raise BadParameterError(
                 f"bandwidth must be in (0, 1], got {self.bandwidth}"
             )
+        if isinstance(self.degree, bool) or not isinstance(self.degree, (int, np.integer)):
+            raise BadParameterError(f"degree must be an integer, got {self.degree!r}")
         if self.degree < 0:
             raise BadParameterError(f"degree must be >= 0, got {self.degree}")
 
@@ -103,6 +105,7 @@ class WeightOperator:
 
     grid: np.ndarray
     weights: tuple[EffectiveWeights, ...]
+    design_size: int
 
     @property
     def expanded_points(self) -> tuple[float, ...]:
@@ -111,28 +114,27 @@ class WeightOperator:
     def apply(self, zs) -> np.ndarray:
         """Smoothed values of the responses ``zs`` at every grid point."""
         zs = np.asarray(zs, dtype=float)
+        if zs.shape != (self.design_size,):
+            raise BadParameterError(f"responses must be 1-d of length {self.design_size}, "
+                                    f"one per design point, got shape {zs.shape}")
         return np.array([w.weights @ zs[w.indices] for w in self.weights])
 
 
 @dataclass(frozen=True, eq=False)
 class LocalFit:
-    """One weighted polynomial fit.
+    """One weighted polynomial fit, reduced to its intercept.
 
-    ``coefficients[q]`` multiplies (x - x_i)^q, so coefficients[0] is the
-    fitted value at the evaluation point.  ``bandwidth`` is the window
+    ``value`` is the fitted value at the evaluation point, the product of
+    ``weights`` with the window's responses.  ``bandwidth`` is the window
     actually used; it exceeds the configured one only when
     ``SmootherConfig.expand`` grew a starved window, in which case
     ``weights.expanded`` is set.
     """
 
-    coefficients: np.ndarray
+    value: float
     weights: EffectiveWeights
     condition_estimate: float
     bandwidth: float
-
-    @property
-    def value(self) -> float:
-        return float(self.coefficients[0])
 
 
 def _ascending(values, what: str) -> np.ndarray:
@@ -164,13 +166,11 @@ def _windows(xs, kern: KernelSpec, points, hs):
     return lo + lead, np.count_nonzero(weighted, axis=1)
 
 
-def _factor_block(xs, kern: KernelSpec, need: int, points, start, count, hs,
-                  all_rows: bool):
-    """(rcond, hat rows) of a block of points, from one stacked thin SVD.
+def _factor_block(xs, kern: KernelSpec, need: int, points, start, count, hs):
+    """(rcond, intercept weights) of a block of points, from one stacked thin SVD.
 
     Each local design is padded with zero rows after its last point.  Row
-    q of a hat maps the window's responses to the coefficient of
-    ((x - x_i)/h)^q; only row 0 is kept unless ``all_rows``.
+    0 of a hat maps the window's responses to the intercept.
     """
     span = np.arange(count.max())
     inside = span < count[:, None]
@@ -193,19 +193,18 @@ def _factor_block(xs, kern: KernelSpec, need: int, points, start, count, hs,
         p = failed[0]
         raise RankDeficientError(f"local design at x={float(points[p])} has "
                                  f"reciprocal condition {rcond[p]:.2e}")
-    # the whole product, then row 0: a product of row 0 alone rounds differently
+    # the whole product, then row 0: row 0 alone rounds differently and moves report bytes
     hat = ((right_t.transpose(0, 2, 1) / sv[:, None, :])
            @ (left.transpose(0, 2, 1) * sqrt_w[:, None, :]))
-    rows = hat if all_rows else hat[:, 0].copy()
+    rows = hat[:, 0].copy()
     rows.flags.writeable = False
     return rcond, rows
 
 
-def _factorize(xs, config: SmootherConfig, points, all_rows: bool = False):
-    """Per point, in order: (effective weights, rcond, bandwidth used, hat rows).
+def _factorize(xs, config: SmootherConfig, points):
+    """Per point, in order: (effective weights, rcond, bandwidth used).
 
-    The hat rows are all degree+1 rows with ``all_rows``, else row 0.  The
-    points go in blocks of at most ``_BLOCK`` design elements.  A failure
+    The points go in blocks of at most ``_BLOCK`` design elements.  A failure
     raises for the first failing point, and no point after a starved one
     is factorized.
     """
@@ -235,13 +234,12 @@ def _factorize(xs, config: SmootherConfig, points, all_rows: bool = False):
         good = int(starved[0]) if starved.size else block.size
         if good:
             rcond, rows = _factor_block(xs, config.kernel, need, block[:good],
-                                        start[:good], count[:good], hs[:good], all_rows)
+                                        start[:good], count[:good], hs[:good])
             for p in range(good):
-                hat = rows[p, ..., :count[p]]
                 window = slice(int(start[p]), int(start[p] + count[p]))
                 weights = EffectiveWeights(float(block[p]), window,
-                                           hat[0] if all_rows else hat, bool(expanded[p]))
-                built.append((weights, float(rcond[p]), float(hs[p]), hat))
+                                           rows[p, :count[p]], bool(expanded[p]))
+                built.append((weights, float(rcond[p]), float(hs[p])))
         if starved.size:
             raise InsufficientSupportError(
                 f"{count[good]} positively weighted points at x={float(block[good])} "
@@ -263,17 +261,12 @@ def _fits(xs, zs, config: SmootherConfig, points) -> list[LocalFit]:
     zs = np.asarray(zs, dtype=float)
     if np.shape(xs) != zs.shape:
         raise ValueError("xs and zs must have the same shape")
-    fits = []
-    for weights, rcond, h, hat in _factorize(xs, config, points, all_rows=True):
-        # undo the (x - x_i)/h rescaling: coefficient q multiplies (x - x_i)^q
-        coefs = hat @ zs[weights.indices] / h ** np.arange(config.degree + 1)
-        fits.append(LocalFit(coefficients=coefs, weights=weights,
-                             condition_estimate=rcond, bandwidth=h))
-    return fits
+    return [LocalFit(float(w.weights @ zs[w.indices]), w, rcond, h)
+            for w, rcond, h in _factorize(xs, config, points)]
 
 
 def fit_at(xs, zs, config: SmootherConfig, x: float) -> LocalFit:
-    """Weighted polynomial fit of (xs, zs) at the point x.
+    """Intercept of the weighted polynomial fit of (xs, zs) at the point x.
 
     Parameters
     ----------
@@ -309,8 +302,8 @@ def _checked_grid(grid) -> np.ndarray:
 def fit_on_grid(xs, zs, config: SmootherConfig, grid) -> list[LocalFit]:
     """:func:`fit_at` at every point of a sorted grid in [0, 1].
 
-    The grid is factorized as :func:`weight_operator` does it; a failed
-    fit raises with the offending point named in its message.
+    Each value is computed as :func:`weight_operator` computes it, bit for
+    bit; a failed fit raises with the offending point named in its message.
     """
     return _fits(xs, zs, config, _checked_grid(grid))
 
@@ -320,8 +313,8 @@ def weight_operator(xs, config: SmootherConfig, grid) -> WeightOperator:
 
     ``xs`` must be ascending (ties allowed).  The checks are those of
     :func:`fit_at`, and the first failing grid point raises; applying the
-    operator to responses on ``xs`` equals the fitted values up to rounding.
+    operator to responses on ``xs`` gives exactly the fitted values.
     """
     grid = _checked_grid(grid)
     weights = tuple(built[0] for built in _factorize(xs, config, grid))
-    return WeightOperator(grid=grid, weights=weights)
+    return WeightOperator(grid=grid, weights=weights, design_size=len(xs))

@@ -202,6 +202,20 @@ class TestCvSelect:
         with pytest.raises(BadParameterError):
             cv_select(sample, FD, SmootherConfig(0.25, 1), grid, folds=1, seed=0)
 
+    @pytest.mark.parametrize("folds", [2.5, 4.0, True, "4"])
+    def test_folds_that_are_not_an_integer_are_a_bad_parameter(self, folds):
+        sample = _toy_sample(n=100)
+        grid = BandwidthGrid(np.array([0.2]))
+        with pytest.raises(BadParameterError, match="folds must be an integer"):
+            cv_select(sample, FD, SmootherConfig(0.25, 1), grid, folds=folds, seed=0)
+
+    def test_numpy_integer_folds_match_int_folds(self):
+        sample = _toy_sample(n=200)
+        grid = BandwidthGrid(np.array([0.2, 0.3]))
+        base = SmootherConfig(0.25, 1)
+        assert (cv_select(sample, FD, base, grid, folds=np.int64(4), seed=0)
+                == cv_select(sample, FD, base, grid, folds=4, seed=0))
+
     def test_selected_is_competitive_against_mc_oracle(self):
         """The CV pick's true risk stays within 1.5x of the best candidate's.
 

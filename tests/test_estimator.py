@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from diffvar import diffseq
-from diffvar.errors import NonFiniteDataError, TooFewObservationsError
+from diffvar.errors import BadParameterError, NonFiniteDataError, TooFewObservationsError
 from diffvar.estimator import (
     Sample,
     estimate_variance,
@@ -10,6 +10,7 @@ from diffvar.estimator import (
     hkt_estimate,
     pseudoresiduals,
     rice_estimate,
+    variance_operator,
 )
 from diffvar.smoother import SmootherConfig, effective_weights
 
@@ -169,6 +170,15 @@ class TestEstimateVariance:
         for x, value in zip(grid, est.values):
             w = effective_weights(series.center_xs, config, x)
             assert value == pytest.approx(w.weights @ z[w.indices], rel=1e-10)
+
+    def test_operator_rejects_contrasts_of_another_sequence(self):
+        # a GSJS operator on 100 points takes 98 contrasts, not the 99 of FD
+        sample = make_sample(np.random.default_rng(3).standard_normal(100))
+        op = variance_operator(sample.xs, GSJS, SmootherConfig(0.3, 1), [0.5])
+        with pytest.raises(BadParameterError, match="length 98"):
+            op.apply(pseudoresiduals(sample, FD).values ** 2)
+        assert op.apply(pseudoresiduals(sample, GSJS).values ** 2) == pytest.approx(
+            estimate_variance(sample, GSJS, SmootherConfig(0.3, 1), [0.5]).values)
 
     def test_shift_equivariance(self):
         rng = np.random.default_rng(12)

@@ -119,6 +119,16 @@ class TestScenario:
         with pytest.raises(BadScenarioError):
             Scenario("bad", fn, fn, n=3, design=np.array(design))
 
+    @pytest.mark.parametrize("n", [50.0, 2.5, True, "50"])
+    def test_a_size_that_is_not_an_integer_is_a_bad_scenario(self, n):
+        with pytest.raises(BadScenarioError, match="n must be an integer"):
+            smooth_scenario(n)
+
+    def test_a_numpy_integer_size_draws(self):
+        assert generate_sample(smooth_scenario(np.int64(50)), 0).n == 50
+        with pytest.raises(BadScenarioError, match=r"need n >= 2, got 1"):
+            smooth_scenario(1)
+
     def test_constant_scenario_label_names_no_error_law(self):
         scen = replace(constant_scenario(500), error_law=ErrorLaw("scaled_uniform"))
         assert scen.label == "constant-n500"

@@ -48,7 +48,7 @@ def test_matches_normal_equations_oracle():
             x = rng.uniform(0.0, 1.0)
             fit = fit_at(xs, zs, config, x)
             coefs, idx, weights = wls_oracle(xs, zs, config, x)
-            assert np.allclose(fit.coefficients, coefs, rtol=1e-7, atol=1e-9)
+            assert abs(fit.value - coefs[0]) <= 1e-12 * abs(coefs[0])
             assert np.array_equal(np.arange(xs.size)[fit.weights.indices], idx)
             assert np.allclose(fit.weights.weights, weights, atol=1e-9)
 
@@ -419,8 +419,43 @@ def test_config_validation():
         SmootherConfig(0.0, 1)
     with pytest.raises(BadParameterError):
         SmootherConfig(1.5, 1)
-    with pytest.raises(BadParameterError):
+    with pytest.raises(BadParameterError, match=r"degree must be >= 0, got -1"):
         SmootherConfig(0.2, -1)
+
+
+@pytest.mark.parametrize("degree", [1.5, 2.0, True, "1", None])
+def test_a_degree_that_is_not_an_integer_is_a_bad_parameter(degree):
+    with pytest.raises(BadParameterError, match="degree must be an integer"):
+        SmootherConfig(0.2, degree)
+
+
+def test_a_numpy_integer_degree_builds():
+    xs = np.linspace(0.01, 0.99, 50)
+    config = SmootherConfig(0.3, np.int64(2))
+    assert np.allclose(weight_operator(xs, config, [0.5]).apply(xs ** 2), 0.25)
+
+
+@pytest.mark.parametrize("degree", range(4))
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_fits_equal_the_weight_operator_exactly(degree, kind):
+    # one product per value: a fit, a grid of fits and the operator agree bit for bit
+    rng = np.random.default_rng(7 + degree)
+    xs = random_design(rng, n=300)
+    zs = rng.standard_normal(xs.size)
+    config = SmootherConfig(0.3, degree, kernel(kind))
+    grid = np.linspace(0.0, 1.0, 21)
+    applied = weight_operator(xs, config, grid).apply(zs)
+    assert [f.value for f in fit_on_grid(xs, zs, config, grid)] == applied.tolist()
+    assert [fit_at(xs, zs, config, x).value for x in grid] == applied.tolist()
+
+
+def test_apply_takes_exactly_one_response_per_design_point():
+    xs = np.linspace(0.01, 0.99, 100)
+    op = weight_operator(xs, SmootherConfig(0.2, 1), [0.5])
+    assert op.apply(np.ones(100)) == pytest.approx([1.0])
+    for zs in (np.ones(150), np.ones(99), np.ones((100, 1)), np.ones((2, 100)), 1.0):
+        with pytest.raises(BadParameterError, match="length 100"):
+            op.apply(zs)
 
 
 @pytest.mark.parametrize("degree", range(5))
@@ -441,9 +476,8 @@ def test_solves_match_a_triangular_solver_reference(degree):
                                 * sqrt_w[:, None])
             e0 = np.eye(degree + 1)[0]
             weights = sqrt_w * (q @ linalg.solve_triangular(r, e0, trans="T"))
-            coefs = (linalg.solve_triangular(r, q.T @ (sqrt_w * zs[idx]))
-                     / config.bandwidth ** np.arange(degree + 1))
-            for got, want in ((fit.coefficients, coefs),
-                              (fit.weights.weights, weights),
+            intercept = linalg.solve_triangular(r, q.T @ (sqrt_w * zs[idx]))[0]
+            assert abs(fit.value - intercept) <= 1e-12 * abs(intercept)
+            for got, want in ((fit.weights.weights, weights),
                               (effective_weights(xs, config, x).weights, weights)):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
