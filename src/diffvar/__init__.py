@@ -55,16 +55,7 @@ from .simlab import (
     rough_mean_scenario,
     smooth_scenario,
 )
-from .smoother import (
-    EffectiveWeights,
-    LocalFit,
-    SmootherConfig,
-    WeightOperator,
-    effective_weights,
-    fit_at,
-    fit_on_grid,
-    weight_operator,
-)
+from .smoother import EffectiveWeights, SmootherConfig, WeightOperator, weight_operator
 
 __version__ = "0.1.0"
 
@@ -77,7 +68,6 @@ __all__ = [
     "ErrorLaw",
     "EstimatorConfig",
     "KernelSpec",
-    "LocalFit",
     "PseudoresidualSeries",
     "Sample",
     "Scenario",
@@ -89,10 +79,7 @@ __all__ = [
     "cv_select",
     "default_grid",
     "dump_json",
-    "effective_weights",
     "estimate_variance",
-    "fit_at",
-    "fit_on_grid",
     "function_spec",
     "generate_sample",
     "global_risk",

@@ -113,7 +113,7 @@ def _read_sample_csv(path: str) -> Sample:
             raise _InputError(f"{path}:{lineno}: {exc}") from exc
     try:
         return Sample(np.array(xs), np.array(ys))
-    except (DiffvarError, ValueError) as exc:
+    except DiffvarError as exc:
         raise _InputError(f"{path}: {exc}") from exc
 
 
@@ -211,9 +211,12 @@ def _add_sequence_flags(parser) -> None:
     parser.add_argument("--kernel", default="epanechnikov", choices=KERNEL_KINDS)
 
 
+_DEGREE_HELP = "local polynomial degree; degree 0 loses the rate within h of an edge"
+
+
 def _add_estimator_flags(parser, bandwidth_modes: str) -> None:
     _add_sequence_flags(parser)
-    parser.add_argument("--degree", type=_at_least(0), default=1)
+    parser.add_argument("--degree", type=_at_least(0), default=1, help=_DEGREE_HELP)
     parser.add_argument("--bandwidth", default=None, required=True,
                         help=f"bandwidth: a number or one of {{{bandwidth_modes}}}")
     parser.add_argument("--gamma", type=_POSITIVE, default=None,
@@ -441,7 +444,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--scale", type=_POSITIVE, default=1.0)
     _add_sequence_flags(p)
     p.add_argument("--degree", type=_at_least(0), default=None,
-                   help="default: floor(gamma) + 1")
+                   help=f"{_DEGREE_HELP}; the default, floor(gamma) + 1 >= 1, avoids that")
     p.add_argument("--pointwise", type=_UNIT_POINT, default=None,
                    help="measure pointwise risk at this x0 instead of global")
     p.set_defaults(func=_cmd_rates)

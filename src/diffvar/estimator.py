@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffseq import DifferenceSequence
-from .errors import NonFiniteDataError, TooFewObservationsError
+from .diffseq import DifferenceSequence, standard_sequence
+from .errors import BadParameterError, NonFiniteDataError, TooFewObservationsError
 # fit_on_grid is no longer called here; the name stays bound because
 # perfbench/tracing.py patches it on this module
 from .smoother import SmootherConfig, WeightOperator, fit_on_grid, weight_operator  # noqa: F401
@@ -49,15 +49,15 @@ class Sample:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
         if xs.ndim != 1 or ys.ndim != 1 or xs.size != ys.size:
-            raise ValueError("xs and ys must be 1-d arrays of equal length")
+            raise BadParameterError("xs and ys must be 1-d arrays of equal length")
         if xs.size < 2:
             raise TooFewObservationsError(f"need n >= 2, got {xs.size}")
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
             raise NonFiniteDataError("observations must be finite (no nan or inf)")
         if np.any(np.diff(xs) <= 0):
-            raise ValueError("design points must be strictly increasing")
+            raise BadParameterError("design points must be strictly increasing")
         if xs[0] <= 0.0 or xs[-1] >= 1.0:
-            raise ValueError("design points must lie strictly inside (0, 1)")
+            raise BadParameterError("design points must lie strictly inside (0, 1)")
 
     @property
     def n(self) -> int:
@@ -210,19 +210,12 @@ class EstimatorConfig:
 
 def rice_estimate(sample: Sample) -> float:
     """Mean squared first difference over 2: the classical constant-variance estimate."""
-    if sample.n < 2:
-        raise TooFewObservationsError("need n >= 2")
-    diffs = np.diff(sample.ys)
-    return float(diffs @ diffs / (2.0 * (sample.n - 1)))
+    return hkt_estimate(sample, standard_sequence("first_difference"))
 
 
 def gsjs_estimate(sample: Sample) -> float:
     """Three-point contrast estimate (1/2, -1, 1/2), normalized by 2/(3(n-2))."""
-    y = sample.ys
-    if sample.n < 3:
-        raise TooFewObservationsError("need n >= 3")
-    inner = 0.5 * y[:-2] - y[1:-1] + 0.5 * y[2:]
-    return float(2.0 * (inner @ inner) / (3.0 * (sample.n - 2)))
+    return hkt_estimate(sample, standard_sequence("gsjs"))
 
 
 def hkt_estimate(sample: Sample, seq: DifferenceSequence) -> float:

@@ -2,14 +2,14 @@
 
 At an evaluation point x, the responses in the window, one slice of the
 ascending abscissae, are fit by weighted least squares on polynomials of
-(x - x_i); a fit returns only the intercept, the smoothed value, which
-every entry point computes as one product of the responses with the
-observations' effective weights.  Those weights sum to one and
-annihilate (x - x_i)^q for q = 1..degree, which is what downstream risk
-and normality experiments rely on.  Since the weights depend on the
-design alone, :func:`weight_operator` collects them for a whole grid
-once, and applying it to any responses on that design is one weighted
-sum per grid point.
+(x - x_i), and only the intercept, the smoothed value, is kept.  It is
+one product of the responses with the observations' effective weights,
+which depend on the design alone, sum to one and annihilate
+(x - x_i)^q for q = 1..degree; downstream risk and normality
+experiments rely on that.  So the smoother has one entry point,
+:func:`weight_operator`, which builds the weights of a whole grid once;
+applying it to any responses on that design is one weighted sum per
+grid point.
 
 Each window is found by searchsorted on the design, which must be
 ascending.  The sqrt-weight-scaled, bandwidth-rescaled local designs are
@@ -23,7 +23,7 @@ degree+1 distinct abscissae, the fit raises RankDeficientError before
 any division by s.  Every failure message names the point as x=...
 
 Window expansion is a smoother setting: only ``SmootherConfig.expand``
-turns it on, and every fit reads it there.
+turns it on, and every build reads it there.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ __all__ = [
     "SmootherConfig",
     "EffectiveWeights",
     "WeightOperator",
-    "LocalFit",
-    "effective_weights",
-    "fit_at",
-    "fit_on_grid",
     "weight_operator",
 ]
 
@@ -85,13 +81,15 @@ class EffectiveWeights:
     """Weights K_n(x_i) giving the intercept as sum_i w_i z_i.
 
     ``indices`` is the window's slice of the abscissae; observations
-    outside it carry exactly zero weight.  ``expanded`` is set when
+    outside it carry exactly zero weight.  ``rcond`` is the reciprocal
+    condition of the scaled local design.  ``expanded`` is set when
     ``SmootherConfig.expand`` grew a starved window.
     """
 
     eval_point: float
     indices: slice
     weights: np.ndarray
+    rcond: float
     expanded: bool = False
 
 
@@ -118,23 +116,6 @@ class WeightOperator:
             raise BadParameterError(f"responses must be 1-d of length {self.design_size}, "
                                     f"one per design point, got shape {zs.shape}")
         return np.array([w.weights @ zs[w.indices] for w in self.weights])
-
-
-@dataclass(frozen=True, eq=False)
-class LocalFit:
-    """One weighted polynomial fit, reduced to its intercept.
-
-    ``value`` is the fitted value at the evaluation point, the product of
-    ``weights`` with the window's responses.  ``bandwidth`` is the window
-    actually used; it exceeds the configured one only when
-    ``SmootherConfig.expand`` grew a starved window, in which case
-    ``weights.expanded`` is set.
-    """
-
-    value: float
-    weights: EffectiveWeights
-    condition_estimate: float
-    bandwidth: float
 
 
 def _ascending(values, what: str) -> np.ndarray:
@@ -201,8 +182,8 @@ def _factor_block(xs, kern: KernelSpec, need: int, points, start, count, hs):
     return rcond, rows
 
 
-def _factorize(xs, config: SmootherConfig, points):
-    """Per point, in order: (effective weights, rcond, bandwidth used).
+def _factorize(xs, config: SmootherConfig, points) -> list[EffectiveWeights]:
+    """The effective weights of each point, in order.
 
     The points go in blocks of at most ``_BLOCK`` design elements.  A failure
     raises for the first failing point, and no point after a starved one
@@ -237,56 +218,13 @@ def _factorize(xs, config: SmootherConfig, points):
                                         start[:good], count[:good], hs[:good])
             for p in range(good):
                 window = slice(int(start[p]), int(start[p] + count[p]))
-                weights = EffectiveWeights(float(block[p]), window,
-                                           rows[p, :count[p]], bool(expanded[p]))
-                built.append((weights, float(rcond[p]), float(hs[p])))
+                built.append(EffectiveWeights(float(block[p]), window, rows[p, :count[p]],
+                                              float(rcond[p]), bool(expanded[p])))
         if starved.size:
             raise InsufficientSupportError(
                 f"{count[good]} positively weighted points at x={float(block[good])} "
                 f"with h={float(hs[good])}; need {need}")
     return built
-
-
-def effective_weights(xs, config: SmootherConfig, x: float) -> EffectiveWeights:
-    """Intercept weights of the local fit at x, without responses.
-
-    ``xs`` must be ascending (ties allowed).  The weights depend only on
-    the design, so precomputing them lets a fixed-design simulation reuse
-    one factorization across replications.
-    """
-    return _factorize(xs, config, [float(x)])[0][0]
-
-
-def _fits(xs, zs, config: SmootherConfig, points) -> list[LocalFit]:
-    zs = np.asarray(zs, dtype=float)
-    if np.shape(xs) != zs.shape:
-        raise ValueError("xs and zs must have the same shape")
-    return [LocalFit(float(w.weights @ zs[w.indices]), w, rcond, h)
-            for w, rcond, h in _factorize(xs, config, points)]
-
-
-def fit_at(xs, zs, config: SmootherConfig, x: float) -> LocalFit:
-    """Intercept of the weighted polynomial fit of (xs, zs) at the point x.
-
-    Parameters
-    ----------
-    xs, zs : array_like, same length
-        Abscissae, ascending (ties allowed), and responses.  The window is
-        the slice of the positively weighted points.
-    config : SmootherConfig
-        With ``config.expand`` set, a starved window grows to the
-        (degree+1)-th nearest abscissa; ``weights.expanded`` records it.
-    x : float
-        Evaluation point.
-
-    Raises
-    ------
-    BadParameterError
-        When xs is not a 1-d ascending sequence, NaN included.
-    InsufficientSupportError, RankDeficientError
-        The latter also when ties leave < degree+1 distinct abscissae.
-    """
-    return _fits(xs, zs, config, [float(x)])[0]
 
 
 def _checked_grid(grid) -> np.ndarray:
@@ -299,22 +237,30 @@ def _checked_grid(grid) -> np.ndarray:
     return grid
 
 
-def fit_on_grid(xs, zs, config: SmootherConfig, grid) -> list[LocalFit]:
-    """:func:`fit_at` at every point of a sorted grid in [0, 1].
-
-    Each value is computed as :func:`weight_operator` computes it, bit for
-    bit; a failed fit raises with the offending point named in its message.
-    """
-    return _fits(xs, zs, config, _checked_grid(grid))
-
-
 def weight_operator(xs, config: SmootherConfig, grid) -> WeightOperator:
-    """Effective weights at every point of a sorted grid in [0, 1].
+    """Effective weights of the local fit at every point of a sorted grid in [0, 1].
 
-    ``xs`` must be ascending (ties allowed).  The checks are those of
-    :func:`fit_at`, and the first failing grid point raises; applying the
-    operator to responses on ``xs`` gives exactly the fitted values.
+    This is the smoother's one entry point: every fitted value is
+    ``weight_operator(xs, config, grid).apply(zs)``.  ``xs`` must be
+    ascending (ties allowed), or BadParameterError is raised.  The first
+    failing grid point raises InsufficientSupportError or, also when ties
+    leave fewer than degree+1 distinct abscissae, RankDeficientError.
     """
     grid = _checked_grid(grid)
-    weights = tuple(built[0] for built in _factorize(xs, config, grid))
-    return WeightOperator(grid=grid, weights=weights, design_size=len(xs))
+    return WeightOperator(grid=grid, weights=tuple(_factorize(xs, config, grid)),
+                          design_size=len(xs))
+
+
+# perfbench/tracing.py wraps these names; nothing in the package calls them
+
+
+def effective_weights(xs, config: SmootherConfig, x: float) -> EffectiveWeights:
+    return weight_operator(xs, config, [x]).weights[0]
+
+
+def fit_at(xs, zs, config: SmootherConfig, x: float) -> float:
+    return weight_operator(xs, config, [x]).apply(zs)[0]
+
+
+def fit_on_grid(xs, zs, config: SmootherConfig, grid) -> np.ndarray:
+    return weight_operator(xs, config, grid).apply(zs)

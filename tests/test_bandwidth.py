@@ -19,7 +19,7 @@ from diffvar.errors import (
 )
 from diffvar.estimator import Sample, pseudoresiduals
 from diffvar.serialize import dump_json
-from diffvar.smoother import SmootherConfig, effective_weights, fit_at
+from diffvar.smoother import SmootherConfig, weight_operator
 
 FD = diffseq.standard_sequence("first_difference")
 
@@ -165,8 +165,8 @@ class TestCvSelect:
                 for held_out in bandwidth._fold_indices(z.size, 4, FD.order):
                     train = np.setdiff1d(np.arange(z.size), held_out)
                     for i in held_out:
-                        fit = fit_at(xs[train], z[train], config, xs[i])
-                        total += (z[i] - fit.value) ** 2
+                        fit = weight_operator(xs[train], config, [xs[i]]).apply(z[train])[0]
+                        total += (z[i] - fit) ** 2
             except SmootherError as exc:
                 reasons[float(h)] = f"{type(exc).__name__}: {exc}"
                 continue
@@ -239,8 +239,8 @@ class TestCvSelect:
         weight_mats = {}
         for h in grid:
             mat = np.zeros((eval_grid.size, centers.size))
-            for row, x in enumerate(eval_grid):
-                w = effective_weights(centers, SmootherConfig(h, 1), x)
+            op = weight_operator(centers, SmootherConfig(h, 1), eval_grid)
+            for row, w in enumerate(op.weights):
                 mat[row, w.indices] = w.weights
             weight_mats[h] = mat
 

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from diffvar import diffseq
-from diffvar.errors import BadParameterError, NonFiniteDataError, TooFewObservationsError
+from diffvar.errors import (
+    BadParameterError,
+    DiffvarError,
+    NonFiniteDataError,
+    TooFewObservationsError,
+)
 from diffvar.estimator import (
     Sample,
     estimate_variance,
@@ -12,7 +17,7 @@ from diffvar.estimator import (
     rice_estimate,
     variance_operator,
 )
-from diffvar.smoother import SmootherConfig, effective_weights
+from diffvar.smoother import SmootherConfig, weight_operator
 
 FD = diffseq.standard_sequence("first_difference")
 GSJS = diffseq.standard_sequence("gsjs")
@@ -55,6 +60,15 @@ class TestSample:
                 Sample(np.array([0.2, 0.4, 0.6]), np.array([1.0, bad, 2.0]))
             with pytest.raises(ValueError):
                 Sample(np.array([0.2, bad, 0.6]), np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("xs, ys, message", [
+        ([0.5, 0.4], [1.0, 2.0], "strictly increasing"),
+        ([0.0, 0.5], [1.0, 2.0], r"strictly inside \(0, 1\)"),
+        ([0.2, 0.4, 0.6], [1.0, 2.0], "equal length"),
+    ], ids=["unsorted", "outside", "mismatched"])
+    def test_a_bad_design_raises_a_diffvar_error(self, xs, ys, message):
+        with pytest.raises(DiffvarError, match=message):
+            Sample(xs, ys)
 
     def test_n(self):
         assert make_sample([1.0, 2.0, 3.0]).n == 3
@@ -168,7 +182,7 @@ class TestEstimateVariance:
         series = pseudoresiduals(sample, seq)
         z = series.values**2
         for x, value in zip(grid, est.values):
-            w = effective_weights(series.center_xs, config, x)
+            w = weight_operator(series.center_xs, config, [x]).weights[0]
             assert value == pytest.approx(w.weights @ z[w.indices], rel=1e-10)
 
     def test_operator_rejects_contrasts_of_another_sequence(self):

@@ -34,7 +34,7 @@ from diffvar.simlab import (
     risk_report,
     smooth_scenario,
 )
-from diffvar.smoother import SmootherConfig, fit_on_grid
+from diffvar.smoother import SmootherConfig, weight_operator
 
 FD = diffseq.standard_sequence("first_difference")
 
@@ -304,13 +304,10 @@ class TestBoundEstimator:
         for seed in range(3):
             sample = generate_sample(scen, seed)
             series = pseudoresiduals(sample, FD)
-            fits = fit_on_grid(series.center_xs, series.values**2,
-                               smoother_config, grid)
-            expected = np.array([fit.value for fit in fits])
-            np.testing.assert_allclose(est(sample, grid), expected,
+            op = weight_operator(series.center_xs, smoother_config, grid)
+            np.testing.assert_allclose(est(sample, grid), op.apply(series.values**2),
                                        rtol=1e-12, atol=0)
-        expanded = tuple(fit.weights.eval_point for fit in fits
-                         if fit.weights.expanded)
+        expanded = tuple(w.eval_point for w in op.weights if w.expanded)
         assert 0.5 in np.round(expanded, 12)
         estimate = estimate_variance(sample, FD, smoother_config, grid)
         assert estimate.provenance.expanded_points == expanded

@@ -4,17 +4,11 @@ import numpy as np
 import pytest
 from scipy import linalg
 
+import diffvar
 from diffvar.errors import BadParameterError, InsufficientSupportError, RankDeficientError
 from diffvar import smoother
 from diffvar.kernels import KERNEL_KINDS, KernelSpec, kernel
-from diffvar.smoother import (
-    RCOND_MIN,
-    SmootherConfig,
-    effective_weights,
-    fit_at,
-    fit_on_grid,
-    weight_operator,
-)
+from diffvar.smoother import RCOND_MIN, SmootherConfig, weight_operator
 
 
 def wls_oracle(xs, zs, config, x):
@@ -38,6 +32,23 @@ def random_design(rng, n=200):
     return np.sort(rng.uniform(0.005, 0.995, n))
 
 
+def weights_at(xs, config, x):
+    """The effective weights of a one-point build at x."""
+    return weight_operator(xs, config, [x]).weights[0]
+
+
+def value_at(xs, zs, config, x):
+    """The smoothed value of a one-point build at x."""
+    return weight_operator(xs, config, [x]).apply(zs)[0]
+
+
+def test_the_smoother_exports_one_entry_point():
+    assert smoother.__all__ == ["SmootherConfig", "EffectiveWeights", "WeightOperator",
+                                "weight_operator"]
+    for name in ("LocalFit", "fit_at", "fit_on_grid", "effective_weights"):
+        assert name not in diffvar.__all__ and not hasattr(diffvar, name)
+
+
 def test_matches_normal_equations_oracle():
     rng = np.random.default_rng(42)
     for degree in range(4):
@@ -46,11 +57,12 @@ def test_matches_normal_equations_oracle():
             zs = rng.standard_normal(xs.size)
             config = SmootherConfig(0.25, degree, kernel(kind))
             x = rng.uniform(0.0, 1.0)
-            fit = fit_at(xs, zs, config, x)
+            op = weight_operator(xs, config, [x])
+            w = op.weights[0]
             coefs, idx, weights = wls_oracle(xs, zs, config, x)
-            assert abs(fit.value - coefs[0]) <= 1e-12 * abs(coefs[0])
-            assert np.array_equal(np.arange(xs.size)[fit.weights.indices], idx)
-            assert np.allclose(fit.weights.weights, weights, atol=1e-9)
+            assert abs(op.apply(zs)[0] - coefs[0]) <= 1e-12 * abs(coefs[0])
+            assert np.array_equal(np.arange(xs.size)[w.indices], idx)
+            assert np.allclose(w.weights, weights, atol=1e-9)
 
 
 @pytest.mark.parametrize("degree", range(5))
@@ -62,7 +74,7 @@ def test_moment_conditions_random_designs(degree):
             config = SmootherConfig(rng.uniform(0.1, 0.4), degree, kernel(kind))
             # interior and both boundaries
             for x in (0.0, rng.uniform(0.2, 0.8), 1.0):
-                w = effective_weights(xs, config, x)
+                w = weights_at(xs, config, x)
                 assert abs(w.weights.sum() - 1.0) < 1e-10
                 for q in range(1, degree + 1):
                     moment = ((x - xs[w.indices]) ** q) @ w.weights
@@ -81,17 +93,16 @@ def test_polynomial_reproduction(degree):
             kernel(KERNEL_KINDS[trial % len(KERNEL_KINDS)]),
         )
         for x in (0.0, 0.013, rng.uniform(0.3, 0.7), 0.987, 1.0):
-            fit = fit_at(xs, zs, config, x)
             expected = np.polynomial.polynomial.polyval(x, coef)
-            assert fit.value == pytest.approx(expected, rel=1e-9)
+            assert value_at(xs, zs, config, x) == pytest.approx(expected, rel=1e-9)
 
 
 def test_constant_data_any_degree():
     xs = np.linspace(0.01, 0.99, 120)
     zs = np.full_like(xs, 3.25)
     for degree in range(4):
-        fit = fit_at(xs, zs, SmootherConfig(0.2, degree), 0.4)
-        assert fit.value == pytest.approx(3.25, rel=1e-12)
+        assert value_at(xs, zs, SmootherConfig(0.2, degree), 0.4) == pytest.approx(
+            3.25, rel=1e-12)
 
 
 def test_intercept_equals_weight_inner_product():
@@ -99,17 +110,17 @@ def test_intercept_equals_weight_inner_product():
     xs = random_design(rng)
     zs = rng.standard_normal(xs.size)
     config = SmootherConfig(0.3, 2)
-    for x in (0.0, 0.31, 0.74, 1.0):
-        fit = fit_at(xs, zs, config, x)
-        inner = fit.weights.weights @ zs[fit.weights.indices]
-        assert fit.value == pytest.approx(inner, rel=1e-10)
+    grid = [0.0, 0.31, 0.74, 1.0]
+    op = weight_operator(xs, config, grid)
+    inner = [w.weights @ zs[w.indices] for w in op.weights]
+    assert op.apply(zs).tolist() == inner
 
 
 def test_weights_vanish_outside_window():
     rng = np.random.default_rng(4)
     xs = random_design(rng)
     config = SmootherConfig(0.2, 1)
-    w = effective_weights(xs, config, 0.5)
+    w = weights_at(xs, config, 0.5)
     assert np.all(np.abs(xs[w.indices] - 0.5) <= config.bandwidth)
     full = np.zeros(xs.size)
     full[w.indices] = w.weights
@@ -122,14 +133,12 @@ def test_equispaced_uniform_degree_zero_weights_are_equal():
     # points, each carrying exactly 1/40
     n = 100
     xs = np.arange(1, n + 1) / (n + 1)
-    zs = np.zeros(n)
     config = SmootherConfig(0.2, 0, kernel("uniform"))
-    fit = fit_at(xs, zs, config, 0.5)
+    w = weights_at(xs, config, 0.5).weights
     in_window = int(np.sum(np.abs(xs - 0.5) <= 0.2))
     assert in_window == 40
-    assert fit.weights.weights.size == in_window
-    assert np.allclose(fit.weights.weights, 1.0 / in_window, atol=1e-12)
-    w = fit.weights.weights
+    assert w.size == in_window
+    assert np.allclose(w, 1.0 / in_window, atol=1e-12)
     max_abs = np.max(np.abs(w))
     assert max_abs == pytest.approx(1.0 / in_window, abs=1e-12)
     assert w @ w == pytest.approx(1.0 / in_window, abs=1e-12)
@@ -138,7 +147,7 @@ def test_equispaced_uniform_degree_zero_weights_are_equal():
 
 def test_single_point_window_degenerate():
     xs = np.array([0.2, 0.5, 0.8])
-    w = effective_weights(xs, SmootherConfig(0.1, 0, kernel("uniform")), 0.5)
+    w = weights_at(xs, SmootherConfig(0.1, 0, kernel("uniform")), 0.5)
     assert np.max(np.abs(w.weights)) == pytest.approx(1.0)
     assert w.weights @ w.weights == pytest.approx(1.0)
 
@@ -150,7 +159,7 @@ def test_clt_statistics_scale_inversely_with_n():
     stats = {}
     for n in (200, 400, 800):
         xs = np.arange(1, n + 1) / (n + 1)
-        w = effective_weights(xs, config, 0.5).weights
+        w = weights_at(xs, config, 0.5).weights
         stats[n] = np.array([np.max(np.abs(w)), w @ w])
     for a, b in ((200, 400), (400, 800)):
         ratio = stats[a] / stats[b]
@@ -163,18 +172,17 @@ def test_clt_statistics_scale_inversely_with_n():
 def test_insufficient_support():
     xs = np.array([0.1, 0.2, 0.8, 0.9])
     with pytest.raises(InsufficientSupportError):
-        fit_at(xs, np.zeros(4), SmootherConfig(0.05, 1), 0.5)
+        weight_operator(xs, SmootherConfig(0.05, 1), [0.5])
 
 
 def test_ties_count_once():
     xs = np.array([0.4, 0.4, 0.6])
     zs = np.array([1.0, 1.0, 2.0])
-    fit = fit_at(xs, zs, SmootherConfig(0.25, 1), 0.5)  # 2 distinct points
-    assert np.isfinite(fit.value)
+    assert np.isfinite(value_at(xs, zs, SmootherConfig(0.25, 1), 0.5))  # 2 distinct points
     # three weighted points but two distinct abscissae: the degree-2
     # design has rank 2, which the rcond check catches
     with pytest.raises(RankDeficientError):
-        fit_at(xs, zs, SmootherConfig(0.25, 2), 0.5)
+        weight_operator(xs, SmootherConfig(0.25, 2), [0.5])
 
 
 def test_a_design_that_is_not_ascending_and_1d_is_a_bad_parameter():
@@ -184,20 +192,15 @@ def test_a_design_that_is_not_ascending_and_1d_is_a_bad_parameter():
     permuted = np.random.default_rng(5).permutation(xs)
     config = SmootherConfig(0.3, 1)
     for bad in (with_nan, permuted, xs.reshape(5, 10)):
-        zs = np.ones(bad.shape)
-        for build in (lambda: effective_weights(bad, config, 0.5),
-                      lambda: fit_at(bad, zs, config, 0.5),
-                      lambda: fit_on_grid(bad, zs, config, [0.2, 0.5]),
-                      lambda: weight_operator(bad, config, [0.2, 0.5])):
-            with pytest.raises(BadParameterError):
-                build()
+        with pytest.raises(BadParameterError):
+            weight_operator(bad, config, [0.2, 0.5])
 
 
 def first_point_failure(xs, config, grid):
     """The error a point-by-point loop over the grid raises first."""
     for x in grid:
         try:
-            fit_at(xs, np.zeros(xs.size), config, x)
+            weight_operator(xs, config, [x])
         except (InsufficientSupportError, RankDeficientError) as exc:
             return type(exc), str(exc)
     return None
@@ -222,13 +225,11 @@ def test_a_grid_build_raises_for_its_first_failing_point(monkeypatch, ties, want
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording)
-    for build in (lambda: weight_operator(xs, config, grid),
-                  lambda: fit_on_grid(xs, np.zeros(xs.size), config, grid)):
-        with pytest.raises(want) as info:
-            build()
-        assert (type(info.value), str(info.value)) == expected
+    with pytest.raises(want) as info:
+        weight_operator(xs, config, grid)
+    assert (type(info.value), str(info.value)) == expected
     # only x=0.2, before the starved point, is ever factorized
-    assert [shape[0] for shape in shapes] == [1, 1]
+    assert [shape[0] for shape in shapes] == [1]
 
 
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
@@ -244,12 +245,11 @@ def test_rows_across_block_boundaries_match_one_point_builds(kind):
     assert 4 * sum(w.weights.size for w in op.weights) > 10 * smoother._BLOCK
     zs = np.zeros(xs.size)
     for x, w in zip(grid, op.weights):
-        one = fit_at(xs, zs, config, x)
-        assert w.indices == one.weights.indices and w.expanded == one.weights.expanded
+        one = weights_at(xs, config, x)
+        assert w.indices == one.indices and w.expanded == one.expanded
         # a perturbation of the design moves the weights by about eps/rcond
-        scale = np.max(np.abs(one.weights.weights)) / one.condition_estimate
-        np.testing.assert_allclose(w.weights, one.weights.weights,
-                                   rtol=0, atol=1e-12 * scale)
+        scale = np.max(np.abs(one.weights)) / one.rcond
+        np.testing.assert_allclose(w.weights, one.weights, rtol=0, atol=1e-12 * scale)
         if not w.expanded:
             _, idx, weights = wls_oracle(xs, zs, config, x)
             assert np.array_equal(np.arange(xs.size)[w.indices], idx)
@@ -261,18 +261,18 @@ def test_expand_to_minimum():
     zs = 1.0 + 2.0 * xs
     config = SmootherConfig(0.01, 1)
     with pytest.raises(InsufficientSupportError):
-        fit_at(xs, zs, config, 0.5)
-    fit = fit_at(xs, zs, SmootherConfig(0.01, 1, expand=True), 0.5)
-    assert fit.weights.expanded
-    assert fit.bandwidth > config.bandwidth
-    assert fit.value == pytest.approx(1.0 + 2.0 * 0.5, rel=1e-9)
+        weight_operator(xs, config, [0.5])
+    op = weight_operator(xs, SmootherConfig(0.01, 1, expand=True), [0.5])
+    w = op.weights[0]
+    assert w.expanded
+    assert np.max(np.abs(0.5 - xs[w.indices])) > config.bandwidth
+    assert op.apply(zs)[0] == pytest.approx(1.0 + 2.0 * 0.5, rel=1e-9)
 
 
 def test_rank_deficient_near_coincident_design():
     xs = 0.5 + np.array([-1e-13, 0.0, 1e-13, 2e-13])
-    zs = np.zeros(4)
     with pytest.raises(RankDeficientError):
-        fit_at(xs, zs, SmootherConfig(0.2, 2), 0.5)
+        weight_operator(xs, SmootherConfig(0.2, 2), [0.5])
 
 
 def scaled_local_design(xs, config, x):
@@ -288,12 +288,10 @@ def test_condition_estimate_is_the_scaled_design_reciprocal_condition(degree):
     rng = np.random.default_rng(200 + degree)
     for kind in KERNEL_KINDS:
         xs = random_design(rng, n=300)
-        zs = rng.standard_normal(xs.size)
         config = SmootherConfig(rng.uniform(0.1, 0.4), degree, kernel(kind))
         for x in (0.0, rng.uniform(0.2, 0.8), 1.0):
             want = 1.0 / np.linalg.cond(scaled_local_design(xs, config, x))
-            assert fit_at(xs, zs, config, x).condition_estimate == pytest.approx(
-                want, rel=1e-9)
+            assert weights_at(xs, config, x).rcond == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("factor, fits", [(1.5, True), (0.5, False)])
@@ -307,12 +305,12 @@ def test_rcond_threshold_on_a_near_coincident_pair(factor, fits):
     want = 1.0 / np.linalg.cond(scaled_local_design(xs, config, 0.5))
     assert want == pytest.approx(factor * RCOND_MIN, rel=1e-3)
     if fits:
-        fit = fit_at(xs, np.array([1.0, 3.0]), config, 0.5)
-        assert fit.condition_estimate == pytest.approx(want, rel=1e-9)
-        assert fit.value == pytest.approx(2.0, rel=1e-9)
+        op = weight_operator(xs, config, [0.5])
+        assert op.weights[0].rcond == pytest.approx(want, rel=1e-9)
+        assert op.apply([1.0, 3.0])[0] == pytest.approx(2.0, rel=1e-9)
     else:
         with pytest.raises(RankDeficientError):
-            fit_at(xs, np.zeros(2), config, 0.5)
+            weight_operator(xs, config, [0.5])
 
 
 def test_one_kernel_evaluation_and_one_svd_per_grid_point(monkeypatch):
@@ -334,13 +332,12 @@ def test_one_kernel_evaluation_and_one_svd_per_grid_point(monkeypatch):
         counting(owner, name)
     xs = random_design(np.random.default_rng(11))
     grid = np.linspace(0.1, 0.9, 5)
-    fit_on_grid(xs, np.ones(xs.size), SmootherConfig(0.2, 2), grid)
     weight_operator(xs, SmootherConfig(0.2, 2), grid)
-    # each build evaluates the kernel once over the searched brackets and
+    # the build evaluates the kernel once over the searched brackets and
     # once over the stacked windows, and takes one SVD of all 5 designs; no
     # window here needs expanding, so nothing is evaluated a third time
-    assert Counter(calls) == {"__call__": 4, "svd": 2}
-    assert [shape[0] for shape in svd_inputs] == [5, 5]
+    assert Counter(calls) == {"__call__": 2, "svd": 1}
+    assert [shape[0] for shape in svd_inputs] == [5]
 
 
 def test_fit_on_grid_matches_fit_at():
@@ -349,30 +346,27 @@ def test_fit_on_grid_matches_fit_at():
     zs = rng.standard_normal(xs.size)
     config = SmootherConfig(0.25, 1)
     grid = np.array([0.2, 0.5, 0.9])
-    fits = fit_on_grid(xs, zs, config, grid)
-    for x, fit in zip(grid, fits):
-        assert fit.value == fit_at(xs, zs, config, x).value
+    applied = weight_operator(xs, config, grid).apply(zs)
+    assert applied.tolist() == [value_at(xs, zs, config, x) for x in grid]
 
 
 def test_fit_on_grid_single_point_and_validation():
     xs = np.linspace(0.01, 0.99, 50)
     zs = np.ones(50)
     config = SmootherConfig(0.3, 1)
-    fits = fit_on_grid(xs, zs, config, [0.5])
-    assert len(fits) == 1
+    assert weight_operator(xs, config, [0.5]).apply(zs).shape == (1,)
     nan = float("nan")
     for grid in ([], [[0.5]], [0.9, 0.1], [0.5, 1.2],
                  [0.2, nan, 0.1], [nan], [0.5, nan]):
         with pytest.raises(BadParameterError):
-            fit_on_grid(xs, zs, config, grid)
+            weight_operator(xs, config, grid)
 
 
 def test_fit_on_grid_tags_offending_point():
     xs = np.linspace(0.4, 0.6, 50)
-    zs = np.ones(50)
     config = SmootherConfig(0.05, 1)
     with pytest.raises(InsufficientSupportError) as info:
-        fit_on_grid(xs, zs, config, [0.5, 0.95])
+        weight_operator(xs, config, [0.5, 0.95])
     assert "x=0.95" in str(info.value)
 
 
@@ -384,7 +378,7 @@ def test_weight_operator_applies_the_grid_fits():
     for degree in (0, 1, 3):
         config = SmootherConfig(0.3, degree)
         op = weight_operator(xs, config, grid)
-        fitted = [fit.value for fit in fit_on_grid(xs, zs, config, grid)]
+        fitted = [wls_oracle(xs, zs, config, x)[0][0] for x in grid]
         np.testing.assert_allclose(op.apply(zs), fitted, rtol=1e-12, atol=0)
         assert op.expanded_points == ()
 
@@ -438,15 +432,19 @@ def test_a_numpy_integer_degree_builds():
 @pytest.mark.parametrize("degree", range(4))
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
 def test_fits_equal_the_weight_operator_exactly(degree, kind):
-    # one product per value: a fit, a grid of fits and the operator agree bit for bit
+    # a one-point build and a grid build in one block agree bit for bit
     rng = np.random.default_rng(7 + degree)
     xs = random_design(rng, n=300)
     zs = rng.standard_normal(xs.size)
     config = SmootherConfig(0.3, degree, kernel(kind))
     grid = np.linspace(0.0, 1.0, 21)
-    applied = weight_operator(xs, config, grid).apply(zs)
-    assert [f.value for f in fit_on_grid(xs, zs, config, grid)] == applied.tolist()
-    assert [fit_at(xs, zs, config, x).value for x in grid] == applied.tolist()
+    op = weight_operator(xs, config, grid)
+    for x, w in zip(grid, op.weights):
+        one = weights_at(xs, config, x)
+        assert (one.eval_point, one.indices, one.rcond, one.expanded) == (
+            w.eval_point, w.indices, w.rcond, w.expanded)
+        assert np.array_equal(one.weights, w.weights)
+    assert [value_at(xs, zs, config, x) for x in grid] == op.apply(zs).tolist()
 
 
 def test_apply_takes_exactly_one_response_per_design_point():
@@ -468,8 +466,8 @@ def test_solves_match_a_triangular_solver_reference(degree):
         zs = rng.standard_normal(xs.size)
         config = SmootherConfig(0.3, degree, kernel(kind))
         for x in (0.0, rng.uniform(0.2, 0.8), 1.0):
-            fit = fit_at(xs, zs, config, x)
-            idx = fit.weights.indices
+            op = weight_operator(xs, config, [x])
+            idx = op.weights[0].indices
             t = (x - xs[idx]) / config.bandwidth
             sqrt_w = np.sqrt(config.kernel(t))
             q, r = np.linalg.qr(np.vander(t, degree + 1, increasing=True)
@@ -477,7 +475,6 @@ def test_solves_match_a_triangular_solver_reference(degree):
             e0 = np.eye(degree + 1)[0]
             weights = sqrt_w * (q @ linalg.solve_triangular(r, e0, trans="T"))
             intercept = linalg.solve_triangular(r, q.T @ (sqrt_w * zs[idx]))[0]
-            assert abs(fit.value - intercept) <= 1e-12 * abs(intercept)
-            for got, want in ((fit.weights.weights, weights),
-                              (effective_weights(xs, config, x).weights, weights)):
-                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert abs(op.apply(zs)[0] - intercept) <= 1e-12 * abs(intercept)
+            got = op.weights[0].weights
+            assert np.max(np.abs(got - weights)) <= 1e-12 * np.max(np.abs(weights))
