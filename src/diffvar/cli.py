@@ -202,7 +202,7 @@ _POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
 def _add_sequence_flags(parser) -> None:
     parser.add_argument(
         "--sequence", default="first_difference",
-        choices=["first_difference", "gsjs", "optimal"],
+        choices=[*diffseq.STANDARD_KINDS, "optimal"],
         help="difference sequence (optimal uses --order)")
     parser.add_argument("--order", type=_at_least(1), default=2,
                         help="order r for --sequence optimal")
@@ -400,8 +400,7 @@ def _build_parser() -> _Parser:
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=_at_least(0), required=True)
     law = argparse.ArgumentParser(add_help=False)
-    law.add_argument("--error-law", default="gaussian",
-                     choices=["gaussian", "scaled_uniform", "student_t"])
+    law.add_argument("--error-law", default="gaussian", choices=simlab.ERROR_LAWS)
     law.add_argument("--df", type=float, default=None)
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--margin", default=0.05,
@@ -467,8 +466,7 @@ def _build_parser() -> _Parser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--optimal", type=_at_least(1), default=None, metavar="R",
                       help="compute the variance-minimizing order-R sequence")
-    mode.add_argument("--standard", default=None,
-                      choices=["first_difference", "gsjs"])
+    mode.add_argument("--standard", default=None, choices=diffseq.STANDARD_KINDS)
     mode.add_argument("--validate", default=None, metavar="C0,C1,...",
                       help="check a comma-separated coefficient list")
     p.set_defaults(func=_cmd_diffseq)

@@ -32,6 +32,7 @@ __all__ = [
     "DifferenceSequence",
     "validate",
     "standard_sequence",
+    "STANDARD_KINDS",
     "variance_factor",
     "min_constant",
     "optimal_sequence",
@@ -97,6 +98,15 @@ def validate(coeffs) -> DifferenceSequence:
     return DifferenceSequence(coeffs)
 
 
+# kind -> (integer pattern, its squared norm)
+_STANDARD = {
+    "first_difference": ([1.0, -1.0], 2.0),
+    "gsjs": ([1.0, -2.0, 1.0], 6.0),
+}
+
+STANDARD_KINDS = tuple(_STANDARD)
+
+
 def standard_sequence(kind: str) -> DifferenceSequence:
     """Return a classical difference sequence by name.
 
@@ -104,11 +114,10 @@ def standard_sequence(kind: str) -> DifferenceSequence:
     three-point pattern (1, -2, 1)/sqrt(6), i.e. (1/2, -1, 1/2) rescaled
     to unit squared norm.
     """
-    if kind == "first_difference":
-        return DifferenceSequence(np.array([1.0, -1.0]) / np.sqrt(2.0))
-    if kind == "gsjs":
-        return DifferenceSequence(np.array([1.0, -2.0, 1.0]) / np.sqrt(6.0))
-    raise UnknownKindError(f"unknown sequence kind {kind!r}")
+    if kind not in STANDARD_KINDS:  # a tuple test: an unhashable kind is unknown too
+        raise UnknownKindError(f"unknown sequence kind {kind!r}")
+    pattern, squared_norm = _STANDARD[kind]
+    return DifferenceSequence(np.array(pattern) / np.sqrt(squared_norm))
 
 
 def _lag_sums(coeffs: np.ndarray) -> np.ndarray:

@@ -1,13 +1,13 @@
-"""Canonical JSON emission for reports.
+"""Canonical JSON emission for reports: sorted keys, repr-exact floats.
 
-Reports serialize through plain Python containers with sorted keys and
-repr-exact floats, so equal in-memory reports produce byte-identical
-JSON regardless of construction order.
-
-A dataclass serializes as the dict of its fields.  A class has a
-``to_dict`` only when its JSON is not its fields, as for ``RiskReport``,
+``dump_json`` is one ``json.dumps`` pass, so equal reports give
+byte-identical JSON.  json encodes builtins itself and hands the rest
+to ``_default``: an object with ``to_dict`` as its result, an ndarray
+as its ``tolist()``, a numpy scalar as its Python value and a dataclass
+as the dict of its fields.  Every serialized dict has string keys (json
+sorts keys before it stringifies them).  Only ``RiskReport``,
 ``RateReport``, ``NormalityReport``, ``MeanEffectReport``, ``Scenario``
-and ``EstimatorConfig``.
+and ``EstimatorConfig`` have a ``to_dict``: their JSON is not their fields.
 """
 
 from __future__ import annotations
@@ -17,34 +17,24 @@ import json
 
 import numpy as np
 
-__all__ = ["plain", "dump_json"]
+__all__ = ["dump_json"]
 
 
-def plain(obj):
-    """Recursively convert reports to JSON-ready builtins."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [plain(v) for v in obj.tolist()]
+def _default(obj):
+    """What json cannot encode, as something it can; json recurses into it."""
     if hasattr(obj, "to_dict"):
-        return plain(obj.to_dict())
+        return obj.to_dict()
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)
-        }
-    if isinstance(obj, dict):
-        return {str(k): plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [plain(v) for v in obj]
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dump_json(obj) -> str:
     """Deterministic JSON text for a report (sorted keys, indented)."""
-    return json.dumps(plain(obj), indent=2, sort_keys=True)
+    return json.dumps(obj, indent=2, sort_keys=True, default=_default)

@@ -24,7 +24,7 @@ seed is copied before spawning, so passing it again repeats the run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -34,7 +34,6 @@ from .diffseq import DifferenceSequence, standard_sequence
 from .errors import BadParameterError, BadScenarioError, DiffvarError
 from .estimator import EstimatorConfig, Sample, pseudoresiduals, variance_operator
 from .kernels import KernelSpec, kernel
-from .serialize import plain
 from .smoother import SmootherConfig
 
 # not called here any more; perfbench/tracing.py patches these names on
@@ -46,6 +45,7 @@ __all__ = [
     "FunctionSpec",
     "function_spec",
     "ErrorLaw",
+    "ERROR_LAWS",
     "Scenario",
     "smooth_scenario",
     "constant_scenario",
@@ -133,6 +133,9 @@ def function_spec(name: str, **params) -> FunctionSpec:
 
 # --- error laws and scenario --------------------------------------------
 
+ERROR_LAWS = ("gaussian", "scaled_uniform", "student_t")
+
+
 @dataclass(frozen=True)
 class ErrorLaw:
     """Unit-variance error distribution with finite fourth moment."""
@@ -141,7 +144,7 @@ class ErrorLaw:
     df: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "scaled_uniform", "student_t"):
+        if self.kind not in ERROR_LAWS:
             raise BadScenarioError(f"unknown error law {self.kind!r}")
         if self.kind == "student_t":
             if self.df is None or not 8 < self.df < math.inf:
@@ -218,10 +221,10 @@ class Scenario:
     def to_dict(self) -> dict:
         return {
             "label": self.label,
-            "mean_fn": plain(self.mean_fn),
-            "var_fn": plain(self.var_fn),
+            "mean_fn": asdict(self.mean_fn),
+            "var_fn": asdict(self.var_fn),
             "n": self.n,
-            "error_law": plain(self.error_law),
+            "error_law": asdict(self.error_law),
             "design": "equispaced" if self.design is None else "explicit",
         }
 
@@ -316,6 +319,12 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+def _check_count(name: str, value) -> None:
+    """A count must be an int or numpy integer, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise BadParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def _replicate(scenarios, replications: int, seed, rep_fn):
     """The replication engine: rep_fn(*samples) once per replication.
 
@@ -327,6 +336,7 @@ def _replicate(scenarios, replications: int, seed, rep_fn):
     Sample and estimator failures (DiffvarError) are recorded, anything
     else propagates.
     """
+    _check_count("replications", replications)
     if replications < 2:
         raise BadParameterError("need at least 2 replications")
     results, failures = [], []
@@ -367,6 +377,7 @@ def _margin_grid(margin: float, grid_size: int) -> np.ndarray:
     """The default integration grid: grid_size points on [margin, 1 - margin]."""
     if not 0.0 <= margin < 0.5:
         raise BadParameterError("margin must be in [0, 0.5)")
+    _check_count("grid_size", grid_size)
     if grid_size < 2:
         raise BadParameterError(
             f"integrated risk needs >= 2 grid points, got {grid_size}")
@@ -586,6 +597,8 @@ def rate_experiment(
     zero risks is undefined and reported as NaN with ``slope_defined``
     cleared.
     """
+    if not 0.0 < gamma < math.inf:  # written so that a NaN fails
+        raise BadParameterError(f"gamma must be finite and positive, got {gamma!r}")
     scenarios = sorted(scenarios, key=lambda s: s.n)
     ns = [s.n for s in scenarios]
     if len(set(ns)) < 4:
@@ -669,6 +682,8 @@ def normality_diagnostics(draws, failures: int = 0) -> NormalityReport:
     draws = np.asarray(draws, dtype=float)
     if draws.size < 8:
         raise BadParameterError("need at least 8 draws for shape diagnostics")
+    if not np.all(np.isfinite(draws)):
+        raise BadParameterError("draws must be finite")
     spread = draws.std(ddof=0)
     if spread == 0.0:
         raise BadParameterError("draws have zero spread; shape is undefined")
@@ -818,19 +833,19 @@ def mean_effect_experiment(
     replication engine draws both arms from the same streams, so the
     ratio is measured with common random numbers.
     """
+    schedule = rate_schedule(standard_sequence("first_difference"), gamma, scale)
     lo = gamma / (4.0 * gamma + 2.0)
     hi = gamma / (2.0 * gamma + 2.0)
     if not lo < beta < hi:
         raise BadParameterError(
             f"beta must lie strictly inside ({lo:.4g}, {hi:.4g}), got {beta}"
         )
-    schedule = rate_schedule(standard_sequence("first_difference"), gamma, scale)
-    ns = sorted(int(n) for n in ns)
+    ns = sorted(ns)
+    roughs = [rough_mean_scenario(n, beta) for n in ns]  # a bad n fails here
     children = _seed_sequence(seed).spawn(len(ns))
     grid = _margin_grid(0.05, grid_size)
     rough_risks, flat_risks, ratios, ratio_ses = [], [], [], []
-    for n, child in zip(ns, children):
-        rough = rough_mean_scenario(n, beta)
+    for n, rough, child in zip(ns, roughs, children):
         flat = replace(rough, label=f"flat-mean-n{n}",
                        mean_fn=function_spec("constant", value=0.0))
         est = schedule(n)

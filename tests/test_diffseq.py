@@ -79,6 +79,19 @@ def test_standard_gsjs_is_normalized_half_pattern():
 def test_standard_unknown_kind():
     with pytest.raises(UnknownKindError):
         diffseq.standard_sequence("second_difference")
+    with pytest.raises(UnknownKindError, match=r"\['gsjs'\]"):
+        diffseq.standard_sequence(["gsjs"])
+
+
+@pytest.mark.parametrize("kind", diffseq.STANDARD_KINDS)
+def test_standard_kinds_build_independent_sequences(kind):
+    seq = diffseq.standard_sequence(kind)
+    seq.coeffs[0] = 7.0  # a caller's edit must not reach the next sequence
+    assert diffseq.standard_sequence(kind).coeffs[0] != 7.0
+
+
+def test_standard_kinds():
+    assert diffseq.STANDARD_KINDS == ("first_difference", "gsjs")
 
 
 def test_variance_factor_first_difference():

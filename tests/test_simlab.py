@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +16,7 @@ from diffvar.errors import (
     InsufficientSupportError,
 )
 from diffvar.estimator import Sample, estimate_variance, pseudoresiduals
-from diffvar.serialize import dump_json, plain
+from diffvar.serialize import dump_json
 from diffvar.simlab import (
     ErrorLaw,
     EstimatorConfig,
@@ -81,6 +83,11 @@ class TestErrorLaw:
     def test_unknown(self):
         with pytest.raises(BadScenarioError):
             ErrorLaw("laplace")
+
+    def test_every_listed_law_builds(self):
+        assert simlab.ERROR_LAWS == ("gaussian", "scaled_uniform", "student_t")
+        for kind in simlab.ERROR_LAWS:
+            ErrorLaw(kind, df=9.0 if kind == "student_t" else None)
 
     @pytest.mark.parametrize("kind", ["gaussian", "scaled_uniform"])
     def test_df_applies_only_to_student_t(self, kind):
@@ -464,6 +471,38 @@ class TestReplicationEngine:
             counts.append(len(calls))
         assert counts == [0, 0]
 
+    COUNTED = {
+        "pointwise_risk": lambda est, r: pointwise_risk(
+            smooth_scenario(100), est, 0.4, r, 3),
+        "global_risk": lambda est, r: global_risk(
+            smooth_scenario(100), est, r, 3, grid_size=21),
+        "risk_report": lambda est, r: risk_report(
+            smooth_scenario(100), est, r, 3, points=(0.5,), grid_size=21),
+        "rate_experiment": lambda est, r: rate_experiment(
+            [smooth_scenario(n) for n in (64, 128, 256, 512)], lambda n: est,
+            r, 3, gamma=2.0, x0=0.5),
+        "normality_experiment": lambda est, r: normality_experiment(
+            smooth_scenario(100), est, 0.5, 50 * r, 4),
+        "bias_variance_experiment": lambda est, r: bias_variance_experiment(
+            quadratic_variance_scenario(300), FD, [0.15, 0.3], 0.5, r, 5),
+        "mean_effect_experiment": lambda est, r: mean_effect_experiment(
+            2.0, 0.3, (64, 128), r, 6, grid_size=21),
+    }
+
+    @pytest.mark.parametrize("replications", [10.0, np.float64(10)],
+                             ids=["float", "numpy_float"])
+    @pytest.mark.parametrize("name", sorted(COUNTED))
+    def test_non_integer_replications_raise_up_front(self, name, replications):
+        calls = []
+
+        def est(sample, grid):
+            calls.append(1)
+            return np.ones(len(grid))
+
+        with pytest.raises(BadParameterError, match="replications must be an integer"):
+            self.COUNTED[name](est, replications)
+        assert calls == []
+
     def test_design_failure_raises_before_any_replication(self):
         # raised while the scenario is built, so no experiment can replicate it
         with pytest.raises(BadScenarioError, match="positive on the design"):
@@ -477,7 +516,23 @@ class TestRiskReport:
         est = EstimatorConfig(FD, SmootherConfig(0.25, 1))
         report = risk_report(scen, est, 25, 5, points=(0.3, 0.7), grid_size=31)
         text = dump_json(report)
-        assert json.loads(text) == plain(report)
+
+        def entry(rv):
+            return {"risk": rv.value, "stderr": rv.stderr,
+                    "replications": rv.replications, "failures": rv.failures}
+
+        # oracle: the report's JSON is exactly its fields, points as strings
+        expected = {
+            "scenario": report.scenario,
+            "estimator": report.estimator,
+            "replications": report.replications,
+            "seed": report.seed,
+            "pointwise": {str(x): entry(rv) for x, rv in report.pointwise.items()},
+            "global": entry(report.global_risk),
+            "grid_margin": report.grid_margin,
+            "grid_size": report.grid_size,
+        }
+        assert text == json.dumps(expected, indent=2, sort_keys=True)
         assert set(json.loads(text)["pointwise"]) == {"0.3", "0.7"}
         with pytest.raises(BadParameterError):
             risk_report(scen, est, 25, 5, points=(), include_global=False)
@@ -593,6 +648,19 @@ class TestRateExperiment:
         with pytest.raises(BadParameterError, match="finite and positive"):
             rate_schedule(FD, gamma, scale)
 
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, math.inf, math.nan])
+    def test_gamma_must_be_finite_and_positive(self, gamma):
+        scens = [smooth_scenario(n) for n in (128, 256, 512, 1024)]
+        calls = []
+
+        def schedule(n):
+            calls.append(n)
+            return lambda sample, grid: 1.0 / n + 0.0 * np.asarray(grid)
+
+        with pytest.raises(BadParameterError, match="gamma must be finite and positive"):
+            rate_experiment(scens, schedule, 5, 0, gamma=gamma, x0=0.5)
+        assert calls == []
+
     def test_theoretical_slope_for_huge_gamma(self):
         scens = [smooth_scenario(n) for n in (128, 256, 512, 1024)]
         def schedule(n):
@@ -634,6 +702,20 @@ class TestNormality:
     def test_minimum_draws(self):
         with pytest.raises(BadParameterError):
             normality_diagnostics(np.arange(5.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_draws_raise(self, bad):
+        draws = np.random.default_rng(5).standard_normal(10)
+        draws[[1, 4, 7]] = bad
+        with pytest.raises(BadParameterError, match="draws must be finite"):
+            normality_diagnostics(draws)
+
+    def test_nan_estimates_raise_through_the_experiment(self):
+        def est(sample, grid):
+            return np.full(len(grid), math.nan)
+
+        with pytest.raises(BadParameterError, match="draws must be finite"):
+            normality_experiment(smooth_scenario(50), est, 0.5, 500, 1)
 
     def test_zero_spread_draws_raise(self):
         with pytest.raises(BadParameterError, match="zero spread"):
@@ -743,6 +825,19 @@ class TestMeanEffect:
         b = global_risk(shifted, est, 30, 9, grid_size=31)
         assert b.value == pytest.approx(a.value, rel=1e-9)
 
+    @pytest.mark.parametrize("ns", [(128.9, 256), (64, 100.5)])
+    def test_non_integer_sample_size_raises_up_front(self, monkeypatch, ns):
+        def no_replication(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(simlab, "_replicate", no_replication)
+        with pytest.raises(BadScenarioError, match="n must be an integer"):
+            mean_effect_experiment(2.0, 0.3, ns, 4, 1, grid_size=21)
+
+    def test_nan_gamma_reports_the_gamma_rule(self):
+        with pytest.raises(BadParameterError, match="gamma and scale must be finite"):
+            mean_effect_experiment(math.nan, 0.3, (64, 128), 4, 1)
+
     def test_every_replication_failing_raises(self):
         # scale 1e-4 makes every bandwidth too small to fit at n = 64 and 128
         with pytest.raises(BadScenarioError, match="every replication failed"):
@@ -781,6 +876,25 @@ class TestIntegrationGrid:
                                                        grid_size=grid_size))
         for run in runs:
             with pytest.raises(BadParameterError, match="margin|grid points"):
+                run()
+
+    @pytest.mark.parametrize("grid_size", [11.5, 11.0, True, np.float64(11)],
+                             ids=["float", "whole_float", "bool", "numpy_float"])
+    def test_non_integer_grid_size_raises(self, monkeypatch, grid_size):
+        def no_replication(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(simlab, "_replicate", no_replication)
+        scen = smooth_scenario(100)
+        est = EstimatorConfig(FD, SmootherConfig(0.25, 1))
+        for run in (
+            lambda: global_risk(scen, est, 5, 0, grid_size=grid_size),
+            lambda: risk_report(scen, est, 5, 0, points=(0.5,), grid_size=grid_size),
+            lambda: mean_effect_experiment(2.0, 0.3, (64, 128), 5, 1,
+                                           grid_size=grid_size),
+        ):
+            message = f"grid_size must be an integer, got {grid_size!r}"
+            with pytest.raises(BadParameterError, match=re.escape(message)):
                 run()
 
     def test_risk_report_global_matches_global_risk(self):
