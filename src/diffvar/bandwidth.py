@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diffseq import DifferenceSequence
-from .errors import AllCandidatesFailedError, BadParameterError, SmootherError
+from .errors import AllCandidatesFailedError, BadParameterError, SmootherError, check_integer
 from .estimator import Sample, pseudoresiduals
 # fit_at is no longer called here; the name stays bound because
 # perfbench/tracing.py patches it on this module
@@ -32,11 +32,13 @@ __all__ = [
 
 def rate_optimal_bandwidth(n: int, gamma: float, scale: float = 1.0) -> float:
     """scale * n^(-1/(2*gamma+1)), clamped into (0, 0.5]."""
+    check_integer("n", n)
     if n < 2:
         raise BadParameterError(f"need n >= 2, got {n}")
     if not (0 < gamma < np.inf and 0 < scale < np.inf):
         raise BadParameterError("gamma and scale must be finite and positive")
-    return float(min(scale * n ** (-1.0 / (2.0 * gamma + 1.0)), 0.5))
+    # float(n): numpy's power of an np.int64 can differ in the last bit
+    return float(min(scale * float(n) ** (-1.0 / (2.0 * gamma + 1.0)), 0.5))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,8 +136,7 @@ def cv_select(
     The folds are deterministic; ``seed`` only labels the report as
     ``fold_assignment_seed``.
     """
-    if isinstance(folds, bool) or not isinstance(folds, (int, np.integer)):
-        raise BadParameterError(f"folds must be an integer, got {folds!r}")
+    check_integer("folds", folds)
     if folds < 2:
         raise BadParameterError(f"need folds >= 2, got {folds}")
     series = pseudoresiduals(sample, seq)

@@ -26,6 +26,7 @@ from .errors import (
     SumNotZeroError,
     TooShortError,
     UnknownKindError,
+    check_integer,
 )
 
 __all__ = [
@@ -137,7 +138,8 @@ def variance_factor(seq: DifferenceSequence) -> float:
 
 
 def min_constant(r: int) -> float:
-    """Smallest achievable variance factor for order r: (2r+1)/r."""
+    """Smallest achievable variance factor for an integer order r: (2r+1)/r."""
+    check_integer("order", r)
     if r < 1:
         raise NonPositiveOrderError(f"order must be >= 1, got {r}")
     return (2.0 * r + 1.0) / r
@@ -176,14 +178,15 @@ def optimal_sequence(r: int) -> DifferenceSequence:
     the minimum-phase factor is unique and has d_0 > 0 > d_1, ..., d_r.
     As a fixed postcondition the result must reach variance_factor
     within 1e-8 of (2r+1)/r, else a ConvergenceFailureError is raised.
-    Orders above a fixed maximum raise BadParameterError before any
-    allocation.
+    The order must be an integer; orders above a fixed maximum raise
+    BadParameterError before any allocation.
     """
+    check_integer("order", r)
     if r < 1:
         raise NonPositiveOrderError(f"order must be >= 1, got {r}")
     if r > _MAX_ORDER:
         raise BadParameterError(f"order must be <= {_MAX_ORDER}")
-    d = np.convolve(_min_phase_factor(r), [1.0, -1.0])
+    d = np.convolve(_min_phase_factor(int(r)), [1.0, -1.0])
     # exact renormalization removes the rounding left by the FFTs
     d = d / np.linalg.norm(d)
     d = d - d.mean()

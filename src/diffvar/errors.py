@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all diffvar modules."""
+"""Exceptions shared by all diffvar modules, and check_integer, the one count rule."""
+
+import numbers
 
 
 class DiffvarError(Exception):
@@ -28,7 +30,7 @@ class DegenerateEndpointError(SequenceError):
 
 
 class UnknownKindError(DiffvarError, ValueError):
-    """Unrecognized name for a built-in sequence, kernel or error law."""
+    """Unrecognized name for a built-in sequence or kernel."""
 
 
 class NonPositiveOrderError(DiffvarError, ValueError):
@@ -77,3 +79,9 @@ class AllCandidatesFailedError(DiffvarError, RuntimeError):
 
 class BadScenarioError(DiffvarError, ValueError):
     """Simulation scenario violates its contracts."""
+
+
+def check_integer(name: str, value, error=BadParameterError) -> None:
+    """Raise ``error`` unless value is an int or a numpy integer, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")

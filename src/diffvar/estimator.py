@@ -140,7 +140,7 @@ def variance_operator(
 
     Built once, the operator serves every sample on that design:
     applied to ``pseudoresiduals(sample, seq).values**2`` it gives
-    ``estimate_variance(sample, seq, config, grid).values`` up to rounding.
+    ``estimate_variance(sample, seq, config, grid).values`` exactly.
     """
     centers = _centers(np.asarray(xs, dtype=float), seq.order)
     return weight_operator(centers, config, grid)
@@ -156,9 +156,9 @@ def estimate_variance(
     with them.  Starved windows grow only when ``config.expand`` is set;
     the grown points are listed in ``provenance.expanded_points``.
     """
-    series = pseudoresiduals(sample, seq)
-    operator = weight_operator(series.center_xs, config, grid)
-    values = operator.apply(series.values**2)
+    z = pseudoresiduals(sample, seq).values ** 2
+    operator = variance_operator(sample.xs, seq, config, grid)
+    values = operator.apply(z)
     return VarianceEstimate(
         grid=operator.grid,
         values=values,

@@ -31,7 +31,7 @@ import numpy as np
 
 from .bandwidth import rate_optimal_bandwidth
 from .diffseq import DifferenceSequence, standard_sequence
-from .errors import BadParameterError, BadScenarioError, DiffvarError
+from .errors import BadParameterError, BadScenarioError, DiffvarError, check_integer
 from .estimator import EstimatorConfig, Sample, pseudoresiduals, variance_operator
 from .kernels import KernelSpec, kernel
 from .smoother import SmootherConfig
@@ -187,8 +187,7 @@ class Scenario:
     sd: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
-            raise BadScenarioError(f"n must be an integer, got {self.n!r}")
+        check_integer("n", self.n, BadScenarioError)
         if self.n < 2:
             raise BadScenarioError(f"need n >= 2, got {self.n}")
         if self.design is None:
@@ -278,15 +277,12 @@ def quadratic_variance_scenario(n: int) -> Scenario:
     )
 
 
-def _draw(scenario: Scenario, seed) -> Sample:
-    """One sample of the scenario: only the noise depends on the seed."""
+def generate_sample(scenario: Scenario, seed) -> Sample:
+    """Draw one dataset from the scenario: only the noise depends on the seed."""
+    if not isinstance(seed, np.random.SeedSequence):  # drawing never advances one
+        seed = _seed_sequence(seed)
     eps = scenario.error_law.draw(np.random.default_rng(seed), scenario.n)
     return Sample(scenario.xs, scenario.mean + scenario.sd * eps)
-
-
-def generate_sample(scenario: Scenario, seed) -> Sample:
-    """Draw one dataset from the scenario, deterministically in the seed."""
-    return _draw(scenario, _seed_sequence(seed))
 
 
 # --- estimators as callables ---------------------------------------------
@@ -319,10 +315,11 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _check_count(name: str, value) -> None:
-    """A count must be an int or numpy integer, and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise BadParameterError(f"{name} must be an integer, got {value!r}")
+def _check_replications(replications) -> None:
+    """The engine's rule for a replication count: an integer >= 2."""
+    check_integer("replications", replications)
+    if replications < 2:
+        raise BadParameterError("need at least 2 replications")
 
 
 def _replicate(scenarios, replications: int, seed, rep_fn):
@@ -336,13 +333,11 @@ def _replicate(scenarios, replications: int, seed, rep_fn):
     Sample and estimator failures (DiffvarError) are recorded, anything
     else propagates.
     """
-    _check_count("replications", replications)
-    if replications < 2:
-        raise BadParameterError("need at least 2 replications")
+    _check_replications(replications)
     results, failures = [], []
     for i, child in enumerate(_seed_sequence(seed).spawn(replications)):
         try:
-            results.append(rep_fn(*(_draw(s, child) for s in scenarios)))
+            results.append(rep_fn(*(generate_sample(s, child) for s in scenarios)))
         except DiffvarError as exc:
             failures.append((i, f"{type(exc).__name__}: {exc}"))
     return results, failures
@@ -377,7 +372,7 @@ def _margin_grid(margin: float, grid_size: int) -> np.ndarray:
     """The default integration grid: grid_size points on [margin, 1 - margin]."""
     if not 0.0 <= margin < 0.5:
         raise BadParameterError("margin must be in [0, 0.5)")
-    _check_count("grid_size", grid_size)
+    check_integer("grid_size", grid_size)
     if grid_size < 2:
         raise BadParameterError(
             f"integrated risk needs >= 2 grid points, got {grid_size}")
@@ -709,6 +704,7 @@ def normality_experiment(
     scenario: Scenario, estimator, x0: float, replications: int, seed,
 ) -> NormalityReport:
     """Collect replication draws of the estimate at x0 and diagnose shape."""
+    check_integer("replications", replications)
     if replications < 500:
         raise BadParameterError("need at least 500 replications")
     draws, failures = _point_draws(scenario, estimator, x0, replications, seed)
@@ -747,6 +743,7 @@ def bias_variance_experiment(
     bandwidth.  Errors building the weights propagate.  The log-log slopes
     need at least 2 distinct bandwidths.
     """
+    _check_replications(replications)  # before any weights are built
     bandwidths = np.asarray(bandwidths, dtype=float)
     if np.unique(bandwidths).size < 2:
         raise BadParameterError(

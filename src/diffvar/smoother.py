@@ -36,6 +36,7 @@ from .errors import (
     BadParameterError,
     InsufficientSupportError,
     RankDeficientError,
+    check_integer,
 )
 from .kernels import KernelSpec, kernel
 
@@ -70,8 +71,7 @@ class SmootherConfig:
             raise BadParameterError(
                 f"bandwidth must be in (0, 1], got {self.bandwidth}"
             )
-        if isinstance(self.degree, bool) or not isinstance(self.degree, (int, np.integer)):
-            raise BadParameterError(f"degree must be an integer, got {self.degree!r}")
+        check_integer("degree", self.degree)
         if self.degree < 0:
             raise BadParameterError(f"degree must be >= 0, got {self.degree}")
 

@@ -41,6 +41,8 @@ class TestRateOptimal:
     def test_bad_parameters(self):
         with pytest.raises(BadParameterError):
             rate_optimal_bandwidth(1, 2.0)
+        with pytest.raises(BadParameterError, match="n must be an integer, got nan"):
+            rate_optimal_bandwidth(float("nan"), 2.0)
         with pytest.raises(BadParameterError):
             rate_optimal_bandwidth(100, 0.0)
         with pytest.raises(BadParameterError):
@@ -202,12 +204,15 @@ class TestCvSelect:
         with pytest.raises(BadParameterError):
             cv_select(sample, FD, SmootherConfig(0.25, 1), grid, folds=1, seed=0)
 
-    @pytest.mark.parametrize("folds", [2.5, 4.0, True, "4"])
-    def test_folds_that_are_not_an_integer_are_a_bad_parameter(self, folds):
+    @pytest.mark.parametrize("count", [2.5, 4.0, True, "4", np.float64(3)])
+    def test_folds_that_are_not_an_integer_are_a_bad_parameter(self, count):
         sample = _toy_sample(n=100)
         grid = BandwidthGrid(np.array([0.2]))
         with pytest.raises(BadParameterError, match="folds must be an integer"):
-            cv_select(sample, FD, SmootherConfig(0.25, 1), grid, folds=folds, seed=0)
+            cv_select(sample, FD, SmootherConfig(0.25, 1), grid, folds=count, seed=0)
+        # the sample size of the rate schedule follows the same rule
+        with pytest.raises(BadParameterError, match="n must be an integer"):
+            rate_optimal_bandwidth(count, 2.0)
 
     def test_numpy_integer_folds_match_int_folds(self):
         sample = _toy_sample(n=200)
@@ -215,6 +220,7 @@ class TestCvSelect:
         base = SmootherConfig(0.25, 1)
         assert (cv_select(sample, FD, base, grid, folds=np.int64(4), seed=0)
                 == cv_select(sample, FD, base, grid, folds=4, seed=0))
+        assert rate_optimal_bandwidth(np.int64(1000), 1.0) == rate_optimal_bandwidth(1000, 1.0)
 
     def test_selected_is_competitive_against_mc_oracle(self):
         """The CV pick's true risk stays within 1.5x of the best candidate's.

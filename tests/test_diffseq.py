@@ -114,6 +114,9 @@ def test_min_constant_values():
 def test_min_constant_rejects_bad_order():
     with pytest.raises(NonPositiveOrderError):
         diffseq.min_constant(0)
+    for r in (2.5, True, "3", np.float64(3)):
+        with pytest.raises(BadParameterError, match="order must be an integer"):
+            diffseq.min_constant(r)
 
 
 def test_optimal_order_one_is_first_difference():
@@ -147,6 +150,15 @@ def test_optimal_is_deterministic():
 def test_optimal_rejects_bad_args():
     with pytest.raises(NonPositiveOrderError):
         diffseq.optimal_sequence(0)
+    for r in (2.5, True, "3", np.float64(3)):
+        with pytest.raises(BadParameterError, match="order must be an integer"):
+            diffseq.optimal_sequence(r)
+
+
+def test_a_numpy_integer_order_gives_the_int_order_result():
+    assert (diffseq.optimal_sequence(np.int64(3)).coeffs.tobytes()
+            == diffseq.optimal_sequence(3).coeffs.tobytes())
+    assert diffseq.min_constant(np.int64(3)) == diffseq.min_constant(3)
 
 
 def test_optimal_rejects_huge_order_before_allocating(monkeypatch):

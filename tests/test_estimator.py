@@ -185,6 +185,20 @@ class TestEstimateVariance:
             w = weight_operator(series.center_xs, config, [x]).weights[0]
             assert value == pytest.approx(w.weights @ z[w.indices], rel=1e-10)
 
+    @pytest.mark.parametrize("seq", [FD, GSJS, diffseq.optimal_sequence(3)],
+                             ids=["fd", "gsjs", "optimal3"])
+    @pytest.mark.parametrize("config", [SmootherConfig(0.2, 0), SmootherConfig(0.3, 2),
+                                        SmootherConfig(0.001, 1, expand=True)],
+                             ids=["degree0", "degree2", "expanded"])
+    def test_equals_its_variance_operator_exactly(self, seq, config):
+        sample = make_sample(np.random.default_rng(14).standard_normal(250))
+        grid = np.linspace(0.0, 1.0, 17)
+        est = estimate_variance(sample, seq, config, grid)
+        op = variance_operator(sample.xs, seq, config, grid)
+        assert est.values.tobytes() == op.apply(
+            pseudoresiduals(sample, seq).values ** 2).tobytes()
+        assert est.provenance.expanded_points == op.expanded_points
+
     def test_operator_rejects_contrasts_of_another_sequence(self):
         # a GSJS operator on 100 points takes 98 contrasts, not the 99 of FD
         sample = make_sample(np.random.default_rng(3).standard_normal(100))

@@ -15,7 +15,7 @@ from diffvar.errors import (
     DiffvarError,
     InsufficientSupportError,
 )
-from diffvar.estimator import Sample, estimate_variance, pseudoresiduals
+from diffvar.estimator import Sample, estimate_variance, pseudoresiduals, variance_operator
 from diffvar.serialize import dump_json
 from diffvar.simlab import (
     ErrorLaw,
@@ -126,7 +126,7 @@ class TestScenario:
         with pytest.raises(BadScenarioError):
             Scenario("bad", fn, fn, n=3, design=np.array(design))
 
-    @pytest.mark.parametrize("n", [50.0, 2.5, True, "50"])
+    @pytest.mark.parametrize("n", [50.0, 2.5, True, "50", np.float64(3)])
     def test_a_size_that_is_not_an_integer_is_a_bad_scenario(self, n):
         with pytest.raises(BadScenarioError, match="n must be an integer"):
             smooth_scenario(n)
@@ -162,6 +162,14 @@ class TestGenerateSample:
         b = generate_sample(s, 42)
         assert np.array_equal(a.ys, b.ys)
         assert not np.array_equal(a.ys, generate_sample(s, 43).ys)
+
+    def test_a_seed_sequence_is_not_advanced_by_a_draw(self):
+        scen = smooth_scenario(50)
+        seed = np.random.SeedSequence(5)
+        seed.spawn(2)
+        first = generate_sample(scen, seed).ys
+        assert seed.n_children_spawned == 2
+        assert np.array_equal(generate_sample(scen, seed).ys, first)
 
     @pytest.mark.parametrize("seed", [None, -1, 1.5, "5", True, np.int64(-2)])
     def test_seed_must_be_a_non_negative_integer(self, seed):
@@ -482,26 +490,50 @@ class TestReplicationEngine:
             [smooth_scenario(n) for n in (64, 128, 256, 512)], lambda n: est,
             r, 3, gamma=2.0, x0=0.5),
         "normality_experiment": lambda est, r: normality_experiment(
-            smooth_scenario(100), est, 0.5, 50 * r, 4),
+            smooth_scenario(100), est, 0.5, r, 4),
         "bias_variance_experiment": lambda est, r: bias_variance_experiment(
             quadratic_variance_scenario(300), FD, [0.15, 0.3], 0.5, r, 5),
         "mean_effect_experiment": lambda est, r: mean_effect_experiment(
             2.0, 0.3, (64, 128), r, 6, grid_size=21),
     }
 
-    @pytest.mark.parametrize("replications", [10.0, np.float64(10)],
-                             ids=["float", "numpy_float"])
-    @pytest.mark.parametrize("name", sorted(COUNTED))
-    def test_non_integer_replications_raise_up_front(self, name, replications):
-        calls = []
+    def raises_before_any_work(self, monkeypatch, name, replications, message):
+        calls, builds = [], []
 
         def est(sample, grid):
             calls.append(1)
             return np.ones(len(grid))
 
-        with pytest.raises(BadParameterError, match="replications must be an integer"):
+        def counting(*args):
+            builds.append(1)
+            return variance_operator(*args)
+
+        monkeypatch.setattr(simlab, "variance_operator", counting)
+        with pytest.raises(BadParameterError, match=message):
             self.COUNTED[name](est, replications)
-        assert calls == []
+        assert calls == [] and builds == []
+
+    @pytest.mark.parametrize("replications", [10.0, np.float64(10), 2.5, True, "3",
+                                              np.float64(3)],
+                             ids=["float", "numpy_float", "fraction", "bool", "string",
+                                  "numpy_small_float"])
+    @pytest.mark.parametrize("name", sorted(COUNTED))
+    def test_non_integer_replications_raise_up_front(self, monkeypatch, name,
+                                                     replications):
+        self.raises_before_any_work(monkeypatch, name, replications,
+                                    "replications must be an integer")
+
+    @pytest.mark.parametrize("name", sorted(COUNTED))
+    def test_too_few_replications_raise_up_front(self, monkeypatch, name):
+        self.raises_before_any_work(monkeypatch, name, 1,
+                                    r"need at least (2|500) replications")
+
+    @pytest.mark.parametrize("name", sorted(COUNTED))
+    def test_numpy_integer_replications_match_int(self, name):
+        count = 500 if name == "normality_experiment" else 4
+        est = EstimatorConfig(FD, SmootherConfig(0.25, 1))
+        reports = [self.COUNTED[name](est, r) for r in (count, np.int64(count))]
+        assert dump_json(reports[1]) == dump_json(reports[0])
 
     def test_design_failure_raises_before_any_replication(self):
         # raised while the scenario is built, so no experiment can replicate it
@@ -878,8 +910,9 @@ class TestIntegrationGrid:
             with pytest.raises(BadParameterError, match="margin|grid points"):
                 run()
 
-    @pytest.mark.parametrize("grid_size", [11.5, 11.0, True, np.float64(11)],
-                             ids=["float", "whole_float", "bool", "numpy_float"])
+    @pytest.mark.parametrize("grid_size", [11.5, 11.0, True, np.float64(11), "3"],
+                             ids=["float", "whole_float", "bool", "numpy_float",
+                                  "string"])
     def test_non_integer_grid_size_raises(self, monkeypatch, grid_size):
         def no_replication(*args):
             raise AssertionError("a replication ran")

@@ -417,7 +417,7 @@ def test_config_validation():
         SmootherConfig(0.2, -1)
 
 
-@pytest.mark.parametrize("degree", [1.5, 2.0, True, "1", None])
+@pytest.mark.parametrize("degree", [1.5, 2.0, True, "1", None, np.float64(3)])
 def test_a_degree_that_is_not_an_integer_is_a_bad_parameter(degree):
     with pytest.raises(BadParameterError, match="degree must be an integer"):
         SmootherConfig(0.2, degree)

@@ -12,6 +12,12 @@ points with student-t errors; and ``rates --pointwise``.  It then runs
 each script in ``demos/`` in-process and prints one
 ``demos/<name> <sha256 of its stdout>`` line.  Run it on two source
 trees and diff the printouts to check that a change moves no output byte.
+
+``tests/test_demos.py`` pins these digests through :func:`cli_digests`
+and :func:`sha256`.  They depend on the numpy build and the LAPACK it
+links as well as on diffvar: the pins were taken with numpy 2.4.6 on
+OpenBLAS 0.3.31, x86-64.  A change that is meant to move output bytes
+updates the pins and says why in CHANGES.md.
 """
 
 import contextlib
@@ -22,12 +28,6 @@ import runpy
 import sys
 import tempfile
 from pathlib import Path
-
-if len(sys.argv) != 2:
-    sys.exit(__doc__)
-sys.path.insert(0, os.path.abspath(sys.argv[1]))
-from diffvar.cli import main  # noqa: E402
-from diffvar.simlab import generate_sample, smooth_scenario  # noqa: E402
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 ESTIMATE = "estimate --input data.csv --output {} --bandwidth "
@@ -51,20 +51,35 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-with tempfile.TemporaryDirectory() as tmp:
-    os.chdir(tmp)
-    sample = generate_sample(smooth_scenario(2000), 7)
-    rows = [f"{x!r},{y!r}" for x, y in zip(sample.xs.tolist(), sample.ys.tolist())]
-    Path("data.csv").write_text("\n".join(["x,y"] + rows) + "\n")
-    for k, command in enumerate(COMMANDS):
-        output = f"out{k}.csv" if command.startswith("estimate") else f"out{k}.json"
-        if main(command.format(output).split()) != 0:
-            sys.exit(f"failed: diffvar {command.format(output)}")
-    for path in sorted(Path(".").iterdir()):
-        print(path.name, sha256(path.read_bytes()))
+def cli_digests() -> list[str]:
+    """``<file> <sha256>`` of data.csv and of every command's output file."""
+    from diffvar.cli import main
+    from diffvar.simlab import generate_sample, smooth_scenario
 
-for demo in DEMOS:
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        runpy.run_path(str(demo), run_name="__main__")
-    print(f"demos/{demo.name}", sha256(stdout.getvalue().encode()))
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            sample = generate_sample(smooth_scenario(2000), 7)
+            rows = [f"{x!r},{y!r}" for x, y in zip(sample.xs.tolist(), sample.ys.tolist())]
+            Path("data.csv").write_text("\n".join(["x,y"] + rows) + "\n")
+            for k, command in enumerate(COMMANDS):
+                output = f"out{k}.csv" if command.startswith("estimate") else f"out{k}.json"
+                if main(command.format(output).split()) != 0:
+                    raise RuntimeError(f"failed: diffvar {command.format(output)}")
+            return [f"{path.name} {sha256(path.read_bytes())}"
+                    for path in sorted(Path(".").iterdir())]
+        finally:
+            os.chdir(cwd)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    sys.path.insert(0, os.path.abspath(sys.argv[1]))
+    print("\n".join(cli_digests()))
+    for demo in DEMOS:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            runpy.run_path(str(demo), run_name="__main__")
+        print(f"demos/{demo.name}", sha256(stdout.getvalue().encode()))
